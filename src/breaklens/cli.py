@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, EstimationError
 from .months import parse_timestamp
-from .pipeline import load_config, run_audits, run_pipeline, _build_series, _write_audit_csv
+from .pipeline import RunConfig, load_config, run_audit, run_pipeline
 from .series import write_series_csv
 from .tables import render_audit_table
 from .trade_ingest import (
@@ -67,30 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load(args) -> RunConfig:
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    _, out_path = run_pipeline(config, Path(args.config).parent, out_dir=args.out)
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
+def _cmd_run(args) -> int:
+    _, out_path = run_pipeline(_load(args), Path(args.config).parent, out_dir=args.out)
     print(f"wrote results to {out_path}")
     return 0
 
 
 def _cmd_audit(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    base_dir = Path(args.config).parent
-    config.validate(base_dir)
-    records = parse_records(base_dir / config.data_file)
-    series_map = _build_series(config, records)
-    audit_records = run_audits(config, base_dir, records, series_map)
+    audit_records, out_path = run_audit(_load(args), Path(args.config).parent)
     if not audit_records:
         print("no audits configured")
         return 0
-    out_path = base_dir / config.output_dir
-    out_path.mkdir(parents=True, exist_ok=True)
-    _write_audit_csv(audit_records, out_path / "audit.csv")
     sys.stdout.write(render_audit_table(audit_records))
     print(f"wrote {out_path / 'audit.csv'}")
     return 0

@@ -15,6 +15,19 @@ class ConfigError(BreaklensError):
     """Run configuration failed validation."""
 
 
+class SpecError(ValueError):
+    """An estimator spec field is out of range; ``field`` names the field."""
+
+    def __init__(self, field: str, message: str):
+        self.field, self.message = field, message
+        super().__init__(f"{field}: {message}")
+
+
+def require_choice(field: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise SpecError(field, f"must be one of {', '.join(choices)}, got {value!r}")
+
+
 class DataError(BreaklensError):
     """Input data is malformed or insufficient."""
 

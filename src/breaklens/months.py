@@ -36,10 +36,6 @@ def month_range(start: date, end: date) -> list[date]:
     return [index_month(i) for i in range(month_index(start), month_index(end) + 1)]
 
 
-def as_month(d: date) -> date:
-    return date(d.year, d.month, 1)
-
-
 _PERIOD_RE = re.compile(r"^(\d{4})(\d{2})$")
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 

@@ -11,6 +11,7 @@ from .errors import EstimationError
 
 CLASSICAL = "classical"
 NEWEY_WEST = "newey_west"
+SE_TYPES = (CLASSICAL, NEWEY_WEST)
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,6 @@ def fit_ols(
         cov = sigma2 * xtx_inv
     elif se_type == NEWEY_WEST:
         lags = default_hac_lags(n) if hac_lags is None else int(hac_lags)
-        if lags < 0:
-            raise ValueError("hac_lags must be nonnegative")
         xe = X * residuals[:, None]
         meat = xe.T @ xe
         for j in range(1, min(lags, n - 1) + 1):

@@ -1,10 +1,12 @@
-"""Configuration-driven orchestration: ingest, vintage, aggregate, transform,
-fit, audit, render.
+"""Configuration-driven orchestration: validate, ingest, aggregate, then
+trend_break, rdd, audit and write. ``run_pipeline`` runs every stage;
+``run_audit`` runs the first three, then audit, and writes only audit.csv.
 
 A run is described by a single JSON config (committed examples live under
-``configs/`` and ``fixtures/``). Identical inputs produce byte-identical
-outputs: iteration order is fixed by the config, result files carry no
-timestamps, and JSON is written with sorted keys.
+``configs/`` and ``fixtures/``), checked in full before the data file is
+opened. Identical inputs produce byte-identical outputs: iteration order is
+fixed by the config, result files carry no timestamps, and JSON is written
+with sorted keys.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
-from .errors import ConfigError, DataError, EstimationError
+from .errors import ConfigError, DataError, EstimationError, SpecError
 from .months import (
     add_months,
     format_month,
@@ -26,8 +28,8 @@ from .months import (
     parse_timestamp,
 )
 from .rdd_local_poly import DEFAULT_BANDWIDTH_SAMPLE, RddSpec, rd_estimate
-from .replication_audit import ONE_MINUS_CORRELATION, coefficient_audit, search_vintage_date
-from .series import LEVELS, LOG, MonthlySeries, SeriesMeta, read_series_csv
+from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
+from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
 from .tables import render_tables
 from .trade_ingest import (
     BUILTIN_CATEGORY_SETS,
@@ -47,296 +49,270 @@ from .trend_break import (
     log_transform,
 )
 
+# -- config schema ------------------------------------------------------------
+# Each config key is one field of the frozen dataclasses below, declared with
+# key(kind, default). A kind is a Scalar, a schema dataclass (a JSON object
+# with its keys), [kind, ...] (a list of any length), [kind, kind] (a list of
+# exactly those) or {str: kind} (an object with free keys). Estimator settings
+# are range-checked by the TrendBreakSpec and RddSpec that validate() builds.
 
-@dataclass(frozen=True)
+
+def _expected(path: str, what: str, value) -> ConfigError:
+    return ConfigError(f"{path or 'config'}: expected {what}, got {json.dumps(value)}")
+
+
+class Scalar:
+    """A finite JSON string, number or boolean of one of ``types`` exactly (a
+    JSON boolean is not an integer) that passes ``test``, then ``parse``."""
+
+    def __init__(self, what: str, types: tuple, test=None, parse=None, dump=None):
+        self.what, self.types, self.test = what, types, test
+        self.parse, self.dump = parse or (lambda v: v), dump or (lambda v: v)
+
+    def load(self, value, path: str):
+        finite = type(value) is not float or math.isfinite(value)
+        if type(value) not in self.types or not finite or (self.test and not self.test(value)):
+            raise _expected(path, self.what, value)
+        try:
+            return self.parse(value)
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"{path}: {e}") from e
+
+
+def _load(kind, value, path: str):
+    """Check and convert one JSON value of the given kind; errors name ``path``."""
+    if isinstance(kind, Scalar):
+        return kind.load(value, path)
+    if isinstance(kind, list):
+        anylen = kind[-1] is ...
+        if type(value) is not list or not (anylen or len(value) == len(kind)):
+            raise _expected(path, "a list" if anylen else f"a list of {len(kind)}", value)
+        kinds = kind[:1] * len(value) if anylen else kind
+        return tuple(_load(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if type(value) is not dict:
+        raise _expected(path, "an object", value)
+    prefix = f"{path}." if path else ""
+    if isinstance(kind, dict):
+        return {name: _load(kind[str], v, prefix + name) for name, v in value.items()}
+    # a schema dataclass: an absent or null key takes its default, if it has one
+    declared = {f.name: f for f in fields(kind)}
+    for name in value:
+        if name not in declared:
+            raise ConfigError(f"{prefix}{name}: unknown key")
+    loaded = {}
+    for name, f in declared.items():
+        if value.get(name) is not None:
+            loaded[name] = _load(f.metadata["kind"], value[name], prefix + name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{name}: required key is missing or null")
+    return kind(**loaded)
+
+
+def _dump(kind, value):
+    """The JSON form of a value loaded by ``_load``."""
+    if value is None:
+        return None
+    if isinstance(kind, Scalar):
+        return kind.dump(value)
+    if isinstance(kind, list):
+        kinds = kind[:1] * len(value) if kind[-1] is ... else kind
+        return [_dump(k, v) for k, v in zip(kinds, value)]
+    if isinstance(kind, dict):
+        return {name: _dump(kind[str], v) for name, v in value.items()}
+    return {f.name: _dump(f.metadata["kind"], getattr(value, f.name)) for f in fields(kind)}
+
+
+def key(kind, default=MISSING, default_factory=MISSING):
+    """A config key: its kind and default; a key without a default is required."""
+    return field(default=default, default_factory=default_factory, metadata={"kind": kind})
+
+
+def at_least(low: int) -> Scalar:
+    return Scalar(f"an integer >= {low}", (int,), lambda v: v >= low)
+
+
+def one_of(choices: tuple[str, ...]) -> Scalar:
+    return Scalar(f"one of {', '.join(choices)}", (str,), lambda v: v in choices)
+
+
+TEXT = Scalar("a string", (str,))
+INT = Scalar("an integer", (int,))
+BOOL = Scalar("true or false", (bool,))
+NUMBER = Scalar("a number", (int, float))
+MONTH = Scalar("a month YYYY-MM", (str,), parse=parse_month, dump=format_month)
+DAY = Scalar("a date YYYY-MM-DD", (str,), parse=date.fromisoformat, dump=date.isoformat)
+INSTANT = Scalar("an ISO-8601 timestamp", (str,), parse=parse_timestamp, dump=format_timestamp)
+BANDWIDTH = Scalar('"mse_optimal" or a number of months', (str, int, float))
+
+
+@dataclass(frozen=True, kw_only=True)
 class SeriesDef:
-    label: str
-    category_set: str
+    label: str = key(TEXT)
+    category_set: str = key(TEXT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class VintageDef:
-    label: str
-    cutoff: datetime | None  # None means all records (latest data)
+    label: str = key(TEXT)
+    cutoff: datetime | None = key(INSTANT, None)  # None means all records (latest data)
 
 
-@dataclass(frozen=True)
-class TrendSettings:
-    cutoff_month: date
-    pre_window: int = 28
-    post_window: int = 29
-    treat_cutoff_as_post: bool = True
-    se_type: str = "classical"
-    hac_lags: int | None = None
-    horizon: int | None = None  # default: post_window - 1
-
-    def to_spec(self, transform: str) -> TrendBreakSpec:
-        return TrendBreakSpec(
-            cutoff_month=self.cutoff_month,
-            pre_window=self.pre_window,
-            post_window=self.post_window,
-            transform=transform,
-            treat_cutoff_as_post=self.treat_cutoff_as_post,
-            se_type=self.se_type,
-            hac_lags=self.hac_lags,
-        )
-
-    @property
-    def resolved_horizon(self) -> int:
-        return self.post_window - 1 if self.horizon is None else self.horizon
+@dataclass(frozen=True, kw_only=True)
+class TrendBreakDef:
+    cutoff_month: date = key(MONTH)
+    pre_window: int = key(INT, 28)
+    post_window: int = key(INT, 29)
+    treat_cutoff_as_post: bool = key(BOOL, True)
+    se_type: str = key(TEXT, "classical")
+    hac_lags: int | None = key(INT, None)
+    horizon: int | None = key(at_least(0), None)  # None means post_window - 1
 
 
-@dataclass(frozen=True)
-class RddSettings:
-    cutoff_month: date
-    estimands: tuple[str, ...] = ("level", "slope")
-    kernel: str = "triangular"
-    bandwidth: float | str = "mse_optimal"
-    bandwidth_sample: tuple[date, date] = DEFAULT_BANDWIDTH_SAMPLE
-    transform: str = LOG
-    vintage: str = "latest"
-    poly_order_level: int | None = None
-    poly_order_slope: int | None = None
-    pilot_factor: float = 1.5
-    variance: str = "wls_residuals"
-
-    def to_spec(self, estimand: str) -> RddSpec:
-        order = self.poly_order_level if estimand == "level" else self.poly_order_slope
-        return RddSpec(
-            cutoff_month=self.cutoff_month,
-            estimand=estimand,
-            poly_order=order,
-            kernel=self.kernel,
-            bandwidth=self.bandwidth,
-            bandwidth_sample=self.bandwidth_sample,
-            pilot_factor=self.pilot_factor,
-            variance=self.variance,
-        )
+@dataclass(frozen=True, kw_only=True)
+class RddDef:
+    cutoff_month: date = key(MONTH)
+    estimands: tuple[str, ...] = key([TEXT, ...], ("level", "slope"))
+    kernel: str = key(TEXT, "triangular")
+    bandwidth: float | str = key(BANDWIDTH, "mse_optimal")
+    bandwidth_sample: tuple[date, date] = key([MONTH, MONTH], DEFAULT_BANDWIDTH_SAMPLE)
+    transform: str = key(one_of(TRANSFORMS), LOG)
+    vintage: str = key(TEXT, "latest")
+    poly_order_level: int | None = key(INT, None)
+    poly_order_slope: int | None = key(INT, None)
+    pilot_factor: float = key(NUMBER, 1.5)
+    variance: str = key(TEXT, "wls_residuals")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SearchGrid:
-    start: date = date(2020, 10, 1)
-    end: date = date(2020, 12, 31)
-    step_days: int = 7
+    start: date = key(DAY, date(2020, 10, 1))
+    end: date = key(DAY, date(2020, 12, 31))
+    step_days: int = key(at_least(1), 7)
+
+    def count(self) -> int:
+        """Number of candidate dates, by arithmetic rather than by listing them."""
+        return max(0, (self.end - self.start).days // self.step_days + 1)
 
     def candidates(self) -> list[datetime]:
-        out = []
-        day = self.start
-        while day <= self.end:
-            out.append(datetime(day.year, day.month, day.day, tzinfo=timezone.utc))
-            day = day + timedelta(days=self.step_days)
-        return out
+        days = (self.start + timedelta(days=k * self.step_days) for k in range(self.count()))
+        return [datetime(d.year, d.month, d.day, tzinfo=timezone.utc) for d in days]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AuditDef:
-    label: str
-    target_file: str
-    series: str
-    vintage: str
-    metric: str = ONE_MINUS_CORRELATION
-    search: SearchGrid | None = None
+    label: str = key(TEXT)
+    target_file: str = key(TEXT)
+    series: str = key(TEXT)
+    vintage: str = key(TEXT)
+    metric: str = key(one_of(DISTANCE_METRICS), "one_minus_correlation")
+    search: SearchGrid | None = key(SearchGrid, None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    data_file: str
-    series: tuple[SeriesDef, ...]
-    vintages: tuple[VintageDef, ...]
-    transforms: tuple[str, ...]
-    trend: TrendSettings
-    rdd: RddSettings | None = None
-    audits: tuple[AuditDef, ...] = ()
-    category_sets: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    panels: tuple[tuple[str, str], ...] | None = None  # (transform, vintage label)
-    output_dir: str = "out"
-    seed: int | None = None
-
-    # -- construction -----------------------------------------------------
+    data_file: str = key(TEXT)
+    series: tuple[SeriesDef, ...] = key([SeriesDef, ...])
+    vintages: tuple[VintageDef, ...] = key([VintageDef, ...])
+    transforms: tuple[str, ...] = key([TEXT, ...], TRANSFORMS)
+    trend_break: TrendBreakDef = key(TrendBreakDef)
+    rdd: RddDef | None = key(RddDef, None)
+    audits: tuple[AuditDef, ...] = key([AuditDef, ...], ())
+    category_sets: dict[str, tuple[str, ...]] = key({str: [TEXT, ...]}, default_factory=dict)
+    panels: tuple[tuple[str, str], ...] | None = key([[TEXT, TEXT], ...], None)
+    output_dir: str = key(TEXT, "out")
+    seed: int | None = key(INT, None)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        try:
-            trend_raw = dict(raw["trend_break"])
-            trend = TrendSettings(
-                cutoff_month=parse_month(trend_raw.pop("cutoff_month")),
-                **trend_raw,
-            )
-            rdd = None
-            if raw.get("rdd") is not None:
-                rdd_raw = dict(raw["rdd"])
-                sample = rdd_raw.pop("bandwidth_sample", None)
-                rdd = RddSettings(
-                    cutoff_month=parse_month(rdd_raw.pop("cutoff_month")),
-                    estimands=tuple(rdd_raw.pop("estimands", ("level", "slope"))),
-                    bandwidth_sample=(
-                        (parse_month(sample[0]), parse_month(sample[1]))
-                        if sample
-                        else DEFAULT_BANDWIDTH_SAMPLE
-                    ),
-                    **rdd_raw,
-                )
-            audits = []
-            for a in raw.get("audits", ()):
-                a = dict(a)
-                search_raw = a.pop("search", None)
-                search = None
-                if search_raw is not None:
-                    search = SearchGrid(
-                        start=date.fromisoformat(search_raw.get("start", "2020-10-01")),
-                        end=date.fromisoformat(search_raw.get("end", "2020-12-31")),
-                        step_days=int(search_raw.get("step_days", 7)),
-                    )
-                audits.append(AuditDef(search=search, **a))
-            return cls(
-                data_file=raw["data_file"],
-                series=tuple(SeriesDef(**s) for s in raw["series"]),
-                vintages=tuple(
-                    VintageDef(
-                        label=v["label"],
-                        cutoff=None if v.get("cutoff") is None else parse_timestamp(v["cutoff"]),
-                    )
-                    for v in raw["vintages"]
-                ),
-                transforms=tuple(raw.get("transforms", (LEVELS, LOG))),
-                trend=trend,
-                rdd=rdd,
-                audits=tuple(audits),
-                category_sets={
-                    name: tuple(codes)
-                    for name, codes in raw.get("category_sets", {}).items()
-                },
-                panels=(
-                    tuple((p[0], p[1]) for p in raw["panels"])
-                    if raw.get("panels") is not None
-                    else None
-                ),
-                output_dir=raw.get("output_dir", "out"),
-                seed=raw.get("seed"),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"invalid config: {e}") from e
+    def from_dict(cls, raw) -> "RunConfig":
+        """Typed parse; a value of the wrong type or range is named by its JSON path."""
+        return _load(cls, raw, "")
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "data_file": self.data_file,
-            "series": [{"label": s.label, "category_set": s.category_set} for s in self.series],
-            "vintages": [
-                {
-                    "label": v.label,
-                    "cutoff": None if v.cutoff is None else format_timestamp(v.cutoff),
-                }
-                for v in self.vintages
-            ],
-            "transforms": list(self.transforms),
-            "trend_break": {
-                "cutoff_month": format_month(self.trend.cutoff_month),
-                "pre_window": self.trend.pre_window,
-                "post_window": self.trend.post_window,
-                "treat_cutoff_as_post": self.trend.treat_cutoff_as_post,
-                "se_type": self.trend.se_type,
-                "hac_lags": self.trend.hac_lags,
-                "horizon": self.trend.horizon,
-            },
-            "rdd": None,
-            "audits": [],
-            "category_sets": {k: list(v) for k, v in self.category_sets.items()},
-            "panels": None if self.panels is None else [list(p) for p in self.panels],
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-        }
-        if self.rdd is not None:
-            out["rdd"] = {
-                "cutoff_month": format_month(self.rdd.cutoff_month),
-                "estimands": list(self.rdd.estimands),
-                "kernel": self.rdd.kernel,
-                "bandwidth": self.rdd.bandwidth,
-                "bandwidth_sample": [
-                    format_month(self.rdd.bandwidth_sample[0]),
-                    format_month(self.rdd.bandwidth_sample[1]),
-                ],
-                "transform": self.rdd.transform,
-                "vintage": self.rdd.vintage,
-                "poly_order_level": self.rdd.poly_order_level,
-                "poly_order_slope": self.rdd.poly_order_slope,
-                "pilot_factor": self.rdd.pilot_factor,
-                "variance": self.rdd.variance,
-            }
-        for a in self.audits:
-            entry: dict = {
-                "label": a.label,
-                "target_file": a.target_file,
-                "series": a.series,
-                "vintage": a.vintage,
-                "metric": a.metric,
-                "search": None,
-            }
-            if a.search is not None:
-                entry["search"] = {
-                    "start": a.search.start.isoformat(),
-                    "end": a.search.end.isoformat(),
-                    "step_days": a.search.step_days,
-                }
-            out["audits"].append(entry)
-        return out
+        return _dump(type(self), self)
 
-    # -- validation --------------------------------------------------------
+    def trend_spec(self, transform: str) -> TrendBreakSpec:
+        paths = {"transform": "transforms"}
+        return _spec(TrendBreakSpec, self.trend_break, "trend_break", paths, transform=transform)
+
+    def rdd_spec(self, estimand: str) -> RddSpec:
+        rdd = self.rdd
+        order = rdd.poly_order_level if estimand == "level" else rdd.poly_order_slope
+        paths = {"estimand": "rdd.estimands", "poly_order": f"rdd.poly_order_{estimand}"}
+        return _spec(RddSpec, rdd, "rdd", paths, estimand=estimand, poly_order=order)
 
     def resolve_category_set(self, name: str) -> CategorySet:
         if name in self.category_sets:
             return CategorySet(name, frozenset(self.category_sets[name]))
-        if name in BUILTIN_CATEGORY_SETS:
-            return BUILTIN_CATEGORY_SETS[name]
-        raise ConfigError(f"unknown category set: {name!r}")
-
-    def validate(self, base_dir: Path) -> None:
-        if not self.series:
-            raise ConfigError("config.series must not be empty")
-        if not self.vintages:
-            raise ConfigError("config.vintages must not be empty")
-        if not self.transforms:
-            raise ConfigError("config.transforms must not be empty")
-        for tr in self.transforms:
-            if tr not in (LEVELS, LOG):
-                raise ConfigError(f"unknown transform: {tr!r}")
-        labels = [s.label for s in self.series]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("series labels must be unique")
-        vlabels = [v.label for v in self.vintages]
-        if len(set(vlabels)) != len(vlabels):
-            raise ConfigError("vintage labels must be unique")
-        if not (base_dir / self.data_file).exists():
-            raise ConfigError(f"data file not found: {self.data_file}")
-        for s in self.series:
-            try:
-                self.resolve_category_set(s.category_set)
-            except ValueError as e:
-                raise ConfigError(str(e)) from e
-        for transform, vintage in self.resolved_panels():
-            if transform not in self.transforms:
-                raise ConfigError(f"panel transform {transform!r} not in transforms")
-            if vintage not in vlabels:
-                raise ConfigError(f"panel vintage {vintage!r} not declared")
-        if self.rdd is not None:
-            if self.rdd.vintage not in vlabels:
-                raise ConfigError(f"rdd vintage {self.rdd.vintage!r} not declared")
-            if self.rdd.transform not in (LEVELS, LOG):
-                raise ConfigError(f"unknown rdd transform: {self.rdd.transform!r}")
-        for a in self.audits:
-            if a.series not in labels:
-                raise ConfigError(f"audit {a.label!r} references unknown series {a.series!r}")
-            if a.vintage not in vlabels:
-                raise ConfigError(f"audit {a.label!r} references unknown vintage {a.vintage!r}")
-            if not (base_dir / a.target_file).exists():
-                raise ConfigError(f"audit target not found: {a.target_file}")
+        return BUILTIN_CATEGORY_SETS[name]
 
     def resolved_panels(self) -> tuple[tuple[str, str], ...]:
         if self.panels is not None:
             return self.panels
-        return tuple(
-            (tr, v.label) for tr in self.transforms for v in self.vintages
-        )
+        return tuple((tr, v.label) for tr in self.transforms for v in self.vintages)
+
+    def validate(self, base_dir: Path) -> None:
+        """Check what the typed parse cannot: empty lists, duplicate labels,
+        references between keys, files, the calendar, and the estimator
+        settings, the last by building every spec the run will use."""
+        for name in ("series", "vintages", "transforms"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: must not be empty")
+        series = _unique_labels("series", self.series)
+        vintages = _unique_labels("vintages", self.vintages)
+        _require_file(base_dir, "data_file", self.data_file)
+        for name, codes in self.category_sets.items():
+            try:
+                CategorySet(name, frozenset(codes))
+            except ValueError as e:
+                raise ConfigError(f"category_sets.{name}: {e}") from e
+        for i, s in enumerate(self.series):
+            if s.category_set not in self.category_sets | BUILTIN_CATEGORY_SETS:
+                raise ConfigError(f"series[{i}].category_set: unknown category set {s.category_set!r}")
+        for transform in self.transforms:
+            self.trend_spec(transform)
+        try:
+            _aggregation_span(self)
+            add_months(self.trend_break.cutoff_month, self.trend_break.horizon or 0)
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"trend_break: window or horizon leaves the calendar: {e}") from e
+        for i, (transform, vintage) in enumerate(self.resolved_panels()):
+            if transform not in self.transforms or vintage not in vintages:
+                raise ConfigError(f"panels[{i}]: needs a declared transform and vintage")
+        if self.rdd is not None:
+            if self.rdd.vintage not in vintages:
+                raise ConfigError(f"rdd.vintage: {self.rdd.vintage!r} is not declared")
+            for estimand in self.rdd.estimands:
+                self.rdd_spec(estimand)
+        for i, a in enumerate(self.audits):
+            if a.series not in series:
+                raise ConfigError(f"audits[{i}].series: unknown series {a.series!r}")
+            if a.vintage not in vintages:
+                raise ConfigError(f"audits[{i}].vintage: unknown vintage {a.vintage!r}")
+            _require_file(base_dir, f"audits[{i}].target_file", a.target_file)
+            if a.search is not None and a.search.count() < 2:
+                raise ConfigError(f"audits[{i}].search: {a.search.count()} candidate date(s), need >= 2")
+
+
+def _spec(cls, settings, section: str, paths: dict[str, str], **extra):
+    """The estimator spec built from the config keys named like its fields, plus
+    ``extra``; a field it rejects is a ConfigError on ``section.field`` or ``paths``."""
+    names = {f.name for f in fields(cls)}
+    try:
+        return cls(**{k: v for k, v in vars(settings).items() if k in names}, **extra)
+    except SpecError as e:
+        raise ConfigError(f"{paths.get(e.field, f'{section}.{e.field}')}: {e.message}") from e
+
+
+def _unique_labels(path: str, entries) -> set[str]:
+    labels = [e.label for e in entries]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"{path}: labels must be unique")
+    return set(labels)
+
+
+def _require_file(base_dir: Path, path: str, name: str) -> None:
+    if not (Path(base_dir) / name).is_file():
+        raise ConfigError(f"{path}: file not found: {name}")
 
 
 def load_config(path) -> RunConfig:
@@ -358,8 +334,6 @@ def _stage(stage: str, label: str = ""):
     where = f"{stage}:{label}" if label else stage
     try:
         yield
-    except ConfigError as e:
-        raise ConfigError(f"[{where}] {e}") from e
     except DataError as e:
         raise DataError(f"[{where}] {e}") from e
     except EstimationError as e:
@@ -456,18 +430,23 @@ def export_figure_data(
 
 
 def _aggregation_span(config: RunConfig) -> tuple[date, date]:
-    starts = [add_months(config.trend.cutoff_month, -config.trend.pre_window)]
-    ends = [add_months(config.trend.cutoff_month, config.trend.post_window - 1)]
+    tb = config.trend_break
+    starts = [add_months(tb.cutoff_month, -tb.pre_window)]
+    ends = [add_months(tb.cutoff_month, tb.post_window - 1)]
     if config.rdd is not None:
         starts.append(config.rdd.bandwidth_sample[0])
         ends.append(config.rdd.bandwidth_sample[1])
     return min(starts), max(ends)
 
 
-def _build_series(config: RunConfig, records) -> dict[tuple[str, str], MonthlySeries]:
-    """Aggregated levels series for every (series label, vintage label)."""
+def _prepare(config: RunConfig, base_dir: Path):
+    """Validate, ingest and aggregate: the records plus the levels series
+    for every (series label, vintage label)."""
+    config.validate(base_dir)
+    with _stage("ingest", config.data_file):
+        records = parse_records(base_dir / config.data_file)
     span = _aggregation_span(config)
-    out: dict[tuple[str, str], MonthlySeries] = {}
+    series_map: dict[tuple[str, str], MonthlySeries] = {}
     for vintage in config.vintages:
         if vintage.cutoff is None:
             kept = records
@@ -476,21 +455,17 @@ def _build_series(config: RunConfig, records) -> dict[tuple[str, str], MonthlySe
         for sdef in config.series:
             with _stage("aggregate", f"{sdef.label}/{vintage.label}"):
                 cat = config.resolve_category_set(sdef.category_set)
-                out[(sdef.label, vintage.label)] = aggregate_series(
+                series_map[(sdef.label, vintage.label)] = aggregate_series(
                     kept,
                     cat,
                     span,
                     vintage_cutoff=vintage.cutoff,
                     label=sdef.label,
                 )
-    return out
+    return records, series_map
 
 
-def _transformed(series: MonthlySeries, transform: str) -> MonthlySeries:
-    return log_transform(series) if transform == LOG else series
-
-
-def run_audits(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]:
+def _audit(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]:
     results = []
     for audit in config.audits:
         with _stage("audit", audit.label):
@@ -499,8 +474,7 @@ def run_audits(config: RunConfig, base_dir: Path, records, series_map) -> list[d
                 SeriesMeta(transform=LEVELS, label=audit.label),
             )
             reconstructed = series_map[(audit.series, audit.vintage)]
-            spec = config.trend.to_spec(LEVELS)
-            paired = coefficient_audit(target, reconstructed, spec)
+            paired = coefficient_audit(target, reconstructed, config.trend_spec(LEVELS))
             record = {
                 "label": audit.label,
                 "series": audit.series,
@@ -508,18 +482,7 @@ def run_audits(config: RunConfig, base_dir: Path, records, series_map) -> list[d
                 "correlation": paired.comparison.correlation,
                 "max_abs_diff": paired.comparison.max_abs_diff,
                 "n_overlap": paired.comparison.n_overlap,
-                "means": {
-                    "extracted": {
-                        "overall": paired.means_a.overall,
-                        "pre": paired.means_a.pre,
-                        "post": paired.means_a.post,
-                    },
-                    "reconstructed": {
-                        "overall": paired.means_b.overall,
-                        "pre": paired.means_b.pre,
-                        "post": paired.means_b.post,
-                    },
-                },
+                "means": {"extracted": asdict(paired.means_a), "reconstructed": asdict(paired.means_b)},
                 "coefficients": {
                     "extracted": _audit_coef(paired.fit_a),
                     "reconstructed": _audit_coef(paired.fit_b),
@@ -559,22 +522,33 @@ def _audit_coef(fit: TrendBreakFit) -> dict:
     }
 
 
+def run_audit(config: RunConfig, base_dir) -> tuple[list[dict], Path]:
+    """Validate, ingest, aggregate and audit; write audit.csv under the
+    config's ``output_dir`` when audits are configured. Returns the audit
+    records plus the output directory."""
+    base_dir = Path(base_dir)
+    records, series_map = _prepare(config, base_dir)
+    audit_records = _audit(config, base_dir, records, series_map)
+    out_path = base_dir / config.output_dir
+    if audit_records:
+        with _stage("write", str(out_path)):
+            out_path.mkdir(parents=True, exist_ok=True)
+            _write_audit_csv(audit_records, out_path / "audit.csv")
+    return audit_records, out_path
+
+
 def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]:
-    """Execute every configured stage and write the result bundle.
+    """Execute every stage and write the result bundle.
 
     Returns the in-memory results plus the output directory. Output files:
     results.json, tables/*.txt, audit.csv (when audits are configured) and
     figures/<series>_<transform>_<vintage>.csv.
     """
     base_dir = Path(base_dir)
-    with _stage("validate"):
-        config.validate(base_dir)
+    records, series_map = _prepare(config, base_dir)
     out_path = Path(out_dir) if out_dir is not None else base_dir / config.output_dir
-
-    with _stage("ingest", config.data_file):
-        records = parse_records(base_dir / config.data_file)
-
-    series_map = _build_series(config, records)
+    tb = config.trend_break
+    horizon = tb.post_window - 1 if tb.horizon is None else tb.horizon
 
     trend_records = []
     figure_jobs = []
@@ -584,9 +558,9 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
             for transform in config.transforms:
                 cell = f"{sdef.label}/{transform}/{vintage.label}"
                 with _stage("trend_break", cell):
-                    used = _transformed(base, transform)
-                    fit = fit_trend_break(used, config.trend.to_spec(transform))
-                    path = counterfactual_projection(fit, config.trend.resolved_horizon)
+                    used = log_transform(base) if transform == LOG else base
+                    fit = fit_trend_break(used, config.trend_spec(transform))
+                    path = counterfactual_projection(fit, horizon)
                     trend_records.append(
                         _trend_record(sdef.label, transform, vintage.label, fit, path)
                     )
@@ -596,10 +570,10 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
     if config.rdd is not None:
         for sdef in config.series:
             base = series_map[(sdef.label, config.rdd.vintage)]
-            used = _transformed(base, config.rdd.transform)
+            used = log_transform(base) if config.rdd.transform == LOG else base
             for estimand in config.rdd.estimands:
                 with _stage("rdd", f"{sdef.label}/{estimand}"):
-                    fit = rd_estimate(used, config.rdd.to_spec(estimand))
+                    fit = rd_estimate(used, config.rdd_spec(estimand))
                     rdd_records.append(
                         {
                             "series": sdef.label,
@@ -622,7 +596,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
                         }
                     )
 
-    audit_records = run_audits(config, base_dir, records, series_map)
+    audit_records = _audit(config, base_dir, records, series_map)
 
     results = {
         "config": config.to_dict(),

@@ -22,7 +22,7 @@ from datetime import date
 import numpy as np
 from scipy import stats
 
-from .errors import EstimationError
+from .errors import EstimationError, SpecError, require_choice
 from .months import month_diff
 from .series import MonthlySeries
 
@@ -35,8 +35,11 @@ SLOPE = "slope"
 MSE_OPTIMAL = "mse_optimal"
 WLS_RESIDUALS = "wls_residuals"
 NEAREST_NEIGHBOR = "nearest_neighbor"
+KERNELS = (TRIANGULAR, UNIFORM)
+VARIANCES = (WLS_RESIDUALS, NEAREST_NEIGHBOR)
 
 _DERIV_ORDER = {LEVEL: 0, SLOPE: 1}
+_NN_NEIGHBORS = 3  # neighbors averaged by the nearest-neighbor variance
 _DEFAULT_P = {LEVEL: 1, SLOPE: 2}
 _Z95 = 1.96
 
@@ -74,27 +77,23 @@ class RddSpec:
     pilot_factor: float = 1.5
     pilot_bandwidth: float | None = None
     variance: str = WLS_RESIDUALS
-    nn_neighbors: int = 3
 
     def __post_init__(self):
-        if self.estimand not in _DERIV_ORDER:
-            raise ValueError(f"estimand must be 'level' or 'slope', got {self.estimand!r}")
-        if self.kernel not in (TRIANGULAR, UNIFORM):
-            raise ValueError(f"unknown kernel: {self.kernel!r}")
+        require_choice("estimand", self.estimand, tuple(_DERIV_ORDER))
+        require_choice("kernel", self.kernel, KERNELS)
         if self.poly_order is not None and self.poly_order < self.derivative_order:
-            raise ValueError(
-                f"poly_order {self.poly_order} below the estimand's derivative "
-                f"order {self.derivative_order}"
-            )
+            order = self.derivative_order
+            raise SpecError("poly_order", f"must be >= {order} for {self.estimand}, got {self.poly_order}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MSE_OPTIMAL:
-                raise ValueError(f"bandwidth must be 'mse_optimal' or a number, got {self.bandwidth!r}")
+                raise SpecError("bandwidth", f"must be {MSE_OPTIMAL!r} or a number, got {self.bandwidth!r}")
         elif self.bandwidth <= 0:
-            raise ValueError("manual bandwidth must be positive")
+            raise SpecError("bandwidth", f"must be positive, got {self.bandwidth}")
         if self.pilot_factor < 1.0:
-            raise ValueError("pilot_factor must be >= 1")
-        if self.variance not in (WLS_RESIDUALS, NEAREST_NEIGHBOR):
-            raise ValueError(f"unknown variance estimator: {self.variance!r}")
+            raise SpecError("pilot_factor", f"must be >= 1, got {self.pilot_factor}")
+        require_choice("variance", self.variance, VARIANCES)
+        if self.bandwidth_sample[1] < self.bandwidth_sample[0]:
+            raise SpecError("bandwidth_sample", "the end month is before the start month")
 
     @property
     def derivative_order(self) -> int:
@@ -188,13 +187,13 @@ def _fit_side(u, y, p, h, kernel, label) -> _SideFit:
     return _SideFit(beta, proj, pos, uu, ww, resid)
 
 
-def _nn_sigma2(u, y, points, neighbors) -> np.ndarray:
+def _nn_sigma2(u, y, points) -> np.ndarray:
     """Nearest-neighbor variance at the requested point indices (same side)."""
     sigma2 = np.zeros(len(points))
     for k, i in enumerate(points):
         d = np.abs(u - u[i])
         d[i] = np.inf
-        j = min(neighbors, len(u) - 1)
+        j = min(_NN_NEIGHBORS, len(u) - 1)
         if j < 1:
             raise EstimationError("nearest-neighbor variance needs >= 2 points per side")
         nn = np.argpartition(d, j - 1)[:j]
@@ -211,7 +210,7 @@ def _split_sides(t, y):
     return (t[left], y[left]), (t[~left], y[~left])
 
 
-def _side_parts(u, y, nu, p, kernel, h, b, variance, nn_neighbors, label):
+def _side_parts(u, y, nu, p, kernel, h, b, variance, label):
     main = _fit_side(u, y, p, h, kernel, f"{label} side")
     pilot = _fit_side(u, y, p + 1, b, kernel, f"{label} pilot (b={b:.4g})")
     if pilot.n_effective < p + 2:
@@ -226,8 +225,8 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, nn_neighbors, label):
     bias = phi * curv
 
     if variance == NEAREST_NEIGHBOR:
-        sigma2_main = _nn_sigma2(u, y, main.idx, nn_neighbors)
-        sigma2_pilot = _nn_sigma2(u, y, pilot.idx, nn_neighbors)
+        sigma2_main = _nn_sigma2(u, y, main.idx)
+        sigma2_pilot = _nn_sigma2(u, y, pilot.idx)
     else:
         dfm = max(main.n_effective - (p + 1), 1)
         dfb = max(pilot.n_effective - (p + 2), 1)
@@ -254,12 +253,12 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, nn_neighbors, label):
     }
 
 
-def _rd_core(t, y, *, nu, p, kernel, h, b, variance, nn_neighbors):
+def _rd_core(t, y, *, nu, p, kernel, h, b, variance):
     (ul, yl), (ur, yr) = _split_sides(t, y)
     if b < h:
         raise EstimationError(f"pilot bandwidth b={b:.4g} must be >= h={h:.4g}")
-    left = _side_parts(ul, yl, nu, p, kernel, h, b, variance, nn_neighbors, "left")
-    right = _side_parts(ur, yr, nu, p, kernel, h, b, variance, nn_neighbors, "right")
+    left = _side_parts(ul, yl, nu, p, kernel, h, b, variance, "left")
+    right = _side_parts(ur, yr, nu, p, kernel, h, b, variance, "right")
     tau = right["est"] - left["est"]
     bias = right["bias"] - left["bias"]
     tau_bc = tau - bias
@@ -395,26 +394,6 @@ def _series_points(series: MonthlySeries, spec: RddSpec):
     return window.to_arrays(spec.cutoff_month)
 
 
-def select_bandwidth_mse(
-    series: MonthlySeries,
-    cutoff: date,
-    p: int,
-    estimand: str,
-    kernel: str = TRIANGULAR,
-    bandwidth_sample: tuple[date, date] = DEFAULT_BANDWIDTH_SAMPLE,
-) -> float:
-    """Bandwidth in months for a series-level discontinuity estimate."""
-    spec = RddSpec(
-        cutoff_month=cutoff,
-        estimand=estimand,
-        poly_order=p,
-        kernel=kernel,
-        bandwidth_sample=bandwidth_sample,
-    )
-    t, y = _series_points(series, spec)
-    return select_bandwidth_xy(t, y, nu=spec.derivative_order, p=p, kernel=kernel)
-
-
 def local_poly_fit(
     series: MonthlySeries,
     cutoff: date,
@@ -460,7 +439,6 @@ def rd_estimate_xy(
     pilot_factor: float = 1.5,
     pilot_bandwidth: float | None = None,
     variance: str = WLS_RESIDUALS,
-    nn_neighbors: int = 3,
 ) -> RddFit:
     """Discontinuity estimate on raw (months-from-cutoff, value) points."""
     nu = _DERIV_ORDER[estimand]
@@ -481,7 +459,6 @@ def rd_estimate_xy(
         h=h,
         b=b,
         variance=variance,
-        nn_neighbors=nn_neighbors,
     )
     ci = (
         parts["tau_bc"] - _Z95 * parts["se_robust"],
@@ -518,47 +495,5 @@ def rd_estimate(series: MonthlySeries, spec: RddSpec) -> RddFit:
         pilot_factor=spec.pilot_factor,
         pilot_bandwidth=spec.pilot_bandwidth,
         variance=spec.variance,
-        nn_neighbors=spec.nn_neighbors,
     )
 
-
-def smoothing_bias(
-    series: MonthlySeries, spec: RddSpec, h: float, b: float
-) -> float:
-    """Estimated leading smoothing bias of the discontinuity estimate."""
-    t, y = _series_points(series, spec)
-    parts = _rd_core(
-        t,
-        y,
-        nu=spec.derivative_order,
-        p=spec.resolved_order,
-        kernel=spec.kernel,
-        h=h,
-        b=b,
-        variance=spec.variance,
-        nn_neighbors=spec.nn_neighbors,
-    )
-    return parts["bias"]
-
-
-def robust_bias_corrected_ci(
-    series: MonthlySeries, spec: RddSpec, fit: RddFit
-) -> tuple[float, float, tuple[float, float]]:
-    """Bias-corrected estimate, robust SE and 95% interval for an existing fit."""
-    t, y = _series_points(series, spec)
-    parts = _rd_core(
-        t,
-        y,
-        nu=spec.derivative_order,
-        p=fit.poly_order,
-        kernel=fit.kernel,
-        h=fit.h_used,
-        b=fit.b_used,
-        variance=spec.variance,
-        nn_neighbors=spec.nn_neighbors,
-    )
-    ci = (
-        parts["tau_bc"] - _Z95 * parts["se_robust"],
-        parts["tau_bc"] + _Z95 * parts["se_robust"],
-    )
-    return parts["tau_bc"], parts["se_robust"], ci

@@ -20,6 +20,7 @@ from .trend_break import TrendBreakFit, TrendBreakSpec, fit_trend_break
 
 ONE_MINUS_CORRELATION = "one_minus_correlation"
 RMS_DIFFERENCE = "rms_difference"
+DISTANCE_METRICS = (ONE_MINUS_CORRELATION, RMS_DIFFERENCE)
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class VintageSearchResult:
     distance_metric: str
 
 
-def _distance(target: MonthlySeries, candidate: MonthlySeries, cutoff: date, metric: str) -> float:
+def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> float:
     _, xa, xb = _overlap(target, candidate)
     if len(xa) < 3:
         raise DataError("insufficient overlap between target and reconstruction")
@@ -126,7 +127,7 @@ def search_vintage_date(
     """
     if len(candidate_dates) < 2:
         raise ValueError("need at least 2 candidate dates")
-    if metric not in (ONE_MINUS_CORRELATION, RMS_DIFFERENCE):
+    if metric not in DISTANCE_METRICS:
         raise ValueError(f"unknown distance metric: {metric!r}")
     span = (target.start_month, target.end_month)
     scored: list[tuple[datetime, float]] = []
@@ -138,9 +139,7 @@ def search_vintage_date(
             span,
             vintage_cutoff=policy.cutoff_instant,
         )
-        scored.append(
-            (policy.cutoff_instant, _distance(target, reconstructed, target.start_month, metric))
-        )
+        scored.append((policy.cutoff_instant, _distance(target, reconstructed, metric)))
     best = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
     return VintageSearchResult(
         candidates=tuple(scored), best=best, distance_metric=metric

@@ -26,6 +26,7 @@ from .months import (
 
 LEVELS = "levels"
 LOG = "log"
+TRANSFORMS = (LEVELS, LOG)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class MonthlySeries:
         object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise DataError("a monthly series needs at least one month")
-        if self.meta.transform not in (LEVELS, LOG):
+        if self.meta.transform not in TRANSFORMS:
             raise DataError(f"unknown transform tag: {self.meta.transform!r}")
         for i, v in enumerate(self.values):
             if v is None:

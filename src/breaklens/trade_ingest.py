@@ -24,9 +24,6 @@ from .months import (
 )
 from .series import LEVELS, MonthlySeries, SeriesMeta
 
-#: Only flow handled here: imports proxied by partners' reported exports.
-MIRROR_IMPORT_FLOW = "import_via_partner_exports"
-
 RECORD_COLUMNS = (
     "period",
     "reporter_code",
@@ -53,7 +50,6 @@ class RawTradeRecord:
     value_usd: float
     first_submitted_at: datetime
     last_updated_at: datetime
-    flow: str = MIRROR_IMPORT_FLOW
 
     def __post_init__(self):
         if self.value_usd < 0:
@@ -74,17 +70,11 @@ class VintagePolicy:
     """
 
     cutoff_instant: datetime
-    keep_updated_values: bool = True
 
     def __post_init__(self):
         object.__setattr__(
             self, "cutoff_instant", parse_timestamp(format_timestamp(self.cutoff_instant))
         )
-        if not self.keep_updated_values:
-            raise ValueError(
-                "keep_updated_values=False is unsupported: original submission "
-                "values are not present in the data"
-            )
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from datetime import date
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import EstimationError, SpecError, require_choice
 from .months import add_months, format_month
-from .ols import CLASSICAL, fit_ols
-from .series import LEVELS, LOG, MonthlySeries
+from .ols import CLASSICAL, SE_TYPES, fit_ols
+from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries
 
 PRE = "pre"
 POST = "post"
@@ -49,10 +49,13 @@ class TrendBreakSpec:
         object.__setattr__(
             self, "cutoff_month", date(self.cutoff_month.year, self.cutoff_month.month, 1)
         )
-        if self.pre_window < 3 or self.post_window < 3:
-            raise ValueError("pre_window and post_window must be >= 3 months")
-        if self.transform not in (LEVELS, LOG):
-            raise ValueError(f"unknown transform: {self.transform!r}")
+        for name in ("pre_window", "post_window"):
+            if getattr(self, name) < 3:
+                raise SpecError(name, f"must be >= 3 months, got {getattr(self, name)}")
+        require_choice("transform", self.transform, TRANSFORMS)
+        require_choice("se_type", self.se_type, SE_TYPES)
+        if self.hac_lags is not None and self.hac_lags < 0:
+            raise SpecError("hac_lags", f"must be >= 0, got {self.hac_lags}")
 
     @property
     def window_start(self) -> date:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import breaklens.pipeline as pipeline
 from breaklens.cli import main
 from breaklens.errors import ConfigError
 from breaklens.months import month_diff
@@ -24,7 +25,7 @@ from breaklens.trend_break import (
     fit_trend_break,
     log_transform,
 )
-from util import CUTOFF, piecewise, series_from_fn
+from util import CUTOFF, piecewise, series_from_fn, set_path
 
 
 @pytest.fixture(scope="module")
@@ -333,3 +334,64 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Correlation" in out
         assert (tmp_path / "out" / "audit.csv").exists()
+
+
+class IngestStarted(Exception):
+    pass
+
+
+def _refuse_ingest(*args, **kwargs):
+    raise IngestStarted("the records file was opened")
+
+
+# (JSON path, bad value, the path the error line must name)
+BAD_INPUTS = [
+    ("trend_break.pre_window", 2, "trend_break.pre_window"),
+    ("trend_break.pre_window", "28", "trend_break.pre_window"),
+    ("trend_break.se_type", "hc1", "trend_break.se_type"),
+    ("trend_break.hac_lags", -1, "trend_break.hac_lags"),
+    ("trend_break.horizon", -5, "trend_break.horizon"),
+    ("trend_break.treat_cutoff_as_post", "no", "trend_break.treat_cutoff_as_post"),
+    ("trend_break.cutoff_month", 201708, "trend_break.cutoff_month"),
+    ("rdd.kernel", "epanechnikov", "rdd.kernel"),
+    ("rdd.estimands", ["jump"], "rdd.estimands"),
+    ("rdd.bandwidth", -3, "rdd.bandwidth"),
+    ("rdd.pilot_factor", 0.5, "rdd.pilot_factor"),
+    ("rdd.poly_order_level", -1, "rdd.poly_order_level"),
+    ("rdd.bandwidth_sample", ["2012-01"], "rdd.bandwidth_sample"),
+    ("audits[0].metric", "mae", "audits[0].metric"),
+    (
+        "audits[0].search",
+        {"start": "2020-10-01", "end": "2020-10-05", "step_days": 7},
+        "audits[0].search",
+    ),
+    ("audits[0].search.end", "2020-09-01", "audits[0].search"),
+    ("audits[0].search.step_days", 0, "audits[0].search.step_days"),
+    ("audits[0].search.step_days", -7, "audits[0].search.step_days"),
+    ("panels", [["levels"]], "panels[0]"),
+    ("vintages[0].cutoff", 5, "vintages[0].cutoff"),
+    ("seed", "abc", "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, value, named", BAD_INPUTS, ids=[f"{p}={json.dumps(v)}" for p, v, _ in BAD_INPUTS]
+)
+def test_bad_config_is_rejected_before_ingest(
+    path, value, named, fixtures_dir_module, tmp_path, monkeypatch, capsys
+):
+    # ingest raising proves no check waits for the data (and ends the step_days
+    # cases that would otherwise loop forever building the candidate grid)
+    monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+    raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+    raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+    raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+    set_path(raw, path, value)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(lines) == 1 and f" {named}: " in lines[0], err

@@ -135,10 +135,6 @@ class TestVintage:
         assert kept == [r]
         assert kept[0].value_usd == 7e6
 
-    def test_keep_updated_values_is_fixed_true(self):
-        with pytest.raises(ValueError):
-            VintagePolicy(cutoff_instant=ts(2020, 10, 1), keep_updated_values=False)
-
     def test_monotonicity_randomized(self):
         rng = np.random.default_rng(3)
         chapters = sorted(FULL_FOOD.codes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from datetime import date, datetime, timezone
 
 from breaklens.series import MonthlySeries, SeriesMeta
@@ -53,3 +54,11 @@ def piecewise(pre_intercept, pre_slope, post_intercept, post_slope):
         return post_intercept + post_slope * t
 
     return fn
+
+
+def set_path(raw: dict, path: str, value) -> None:
+    """Set the value at a JSON path such as ``audits[0].search.step_days``."""
+    *parents, last = [int(t) if t.isdigit() else t for t in re.findall(r"[^.\[\]]+", path)]
+    for token in parents:
+        raw = raw[token]
+    raw[last] = value
