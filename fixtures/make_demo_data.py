@@ -2,7 +2,7 @@
 
 Run from the repo root:
 
-    python3 fixtures/make_demo_data.py
+    PYTHONPATH=src python3 fixtures/make_demo_data.py
 
 Produces demo_records.csv (partner-reported monthly flows with submission
 timestamps, 2012-2020) and demo_extracted_food.csv (a lightly perturbed
@@ -17,6 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
+from breaklens.trade_ingest import (
+    ANOVA_FOOD,
+    VintagePolicy,
+    aggregate_series,
+    apply_vintage,
+    parse_records,
+)
+
 HERE = Path(__file__).resolve().parent
 
 # chapter -> relative scale of monthly value (USD millions across all partners)
@@ -27,6 +35,9 @@ PARTNERS = {"DEU": (0.5, 2, 5), "USA": (0.3, 6, 12), "BRA": (0.2, 14, 26)}
 START = date(2012, 1, 1)
 N_MONTHS = 108  # through 2020-12
 CUTOFF_I = 67  # 2017-08
+# the "extracted" target: restricted food at this vintage over the trend window
+TARGET_VINTAGE = datetime(2020, 10, 1, tzinfo=timezone.utc)
+TARGET_WINDOW = (date(2015, 4, 1), date(2019, 12, 1))
 
 
 def month_at(i: int) -> date:
@@ -89,27 +100,23 @@ def main() -> None:
             ]
         )
         writer.writerows(rows)
+    n_months = write_target(HERE / "demo_records.csv", HERE / "demo_extracted_food.csv")
+    print(f"wrote {len(rows)} records and {n_months} target months")
 
-    # the "extracted" target: restricted-food aggregation at the 2020-10-01
-    # vintage over the trend window, with a small deterministic perturbation
-    from breaklens.months import month_range
-    from breaklens.trade_ingest import ANOVA_FOOD, VintagePolicy, apply_vintage, parse_records
 
-    records = parse_records(HERE / "demo_records.csv")
-    cutoff = datetime(2020, 10, 1, tzinfo=timezone.utc)
-    kept = apply_vintage(records, VintagePolicy(cutoff_instant=cutoff))
-    window = month_range(date(2015, 4, 1), date(2019, 12, 1))
-    totals = {m: 0.0 for m in window}
-    for r in kept:
-        if r.hs2 in ANOVA_FOOD and r.period in totals:
-            totals[r.period] += r.value_usd / 1e6
-    with open(HERE / "demo_extracted_food.csv", "w", newline="", encoding="utf-8") as fh:
+def write_target(records_path, out_path) -> int:
+    """Write the "extracted" target series computed from a records file: its
+    restricted-food aggregation at the target vintage, with a small
+    deterministic perturbation. Returns the number of months written."""
+    kept = apply_vintage(parse_records(records_path), VintagePolicy(TARGET_VINTAGE))
+    series = aggregate_series(kept, ANOVA_FOOD, TARGET_WINDOW)
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["month", "value_usd_millions"])
-        for k, m in enumerate(window):
-            perturbed = totals[m] * (1.0 + 0.003 * math.sin(0.9 * k))
+        for k, (m, total) in enumerate(zip(series.months(), series.values)):
+            perturbed = total * (1.0 + 0.003 * math.sin(0.9 * k))
             writer.writerow([f"{m.year:04d}-{m.month:02d}", f"{perturbed:.4f}"])
-    print(f"wrote {len(rows)} records and {len(window)} target months")
+    return len(series)
 
 
 if __name__ == "__main__":

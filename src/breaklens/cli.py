@@ -103,13 +103,12 @@ def _cmd_ingest(args) -> int:
         except ValueError as e:
             raise ConfigError(str(e)) from e
         records = apply_vintage(records, VintagePolicy(cutoff_instant=cutoff))
-    if not records:
+    if len(records) == 0:
         raise DataError("no records remain after the vintage filter")
-    months = sorted({r.period for r in records})
     series = aggregate_series(
         records,
         category,
-        (months[0], months[-1]),
+        (records.period.min().item(), records.period.max().item()),
         vintage_cutoff=cutoff,
         label=args.series,
     )

@@ -87,9 +87,12 @@ def parse_timestamp(s: str) -> datetime:
         raise ValueError(f"invalid ISO-8601 timestamp: {s!r}") from e
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc).replace(microsecond=0)
+    try:
+        return ts.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as e:
+        raise ValueError(f"timestamp leaves years 1-9999 in UTC: {s!r}") from e
 
 
 def format_timestamp(ts: datetime) -> str:
-    ts = ts.astimezone(timezone.utc).replace(microsecond=0)
-    return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits."""
+    return ts.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError
 
@@ -75,7 +75,7 @@ def fit_ols(
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = coef / se
-    p_values = 2.0 * stats.t.sf(np.abs(t_stats), df=n - k)
+    p_values = 2.0 * special.stdtr(n - k, -np.abs(t_stats))
 
     tss = float(np.sum((y - y.mean()) ** 2))
     scale = max(1.0, float(y @ y))

@@ -30,7 +30,7 @@ from .months import (
 from .rdd_local_poly import DEFAULT_BANDWIDTH_SAMPLE, RddSpec, rd_estimate
 from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
-from .tables import render_tables
+from .tables import AUDIT_SIDES, audit_rows, render_tables
 from .trade_ingest import (
     BUILTIN_CATEGORY_SETS,
     CategorySet,
@@ -573,28 +573,10 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
             used = log_transform(base) if config.rdd.transform == LOG else base
             for estimand in config.rdd.estimands:
                 with _stage("rdd", f"{sdef.label}/{estimand}"):
-                    fit = rd_estimate(used, config.rdd_spec(estimand))
-                    rdd_records.append(
-                        {
-                            "series": sdef.label,
-                            "transform": config.rdd.transform,
-                            "vintage": config.rdd.vintage,
-                            "estimand": estimand,
-                            "tau": fit.tau,
-                            "se_conventional": fit.se_conventional,
-                            "tau_bc": fit.tau_bc,
-                            "se_robust": fit.se_robust,
-                            "ci_robust": list(fit.ci_robust),
-                            "p_conventional": fit.p_conventional,
-                            "p_robust": fit.p_robust,
-                            "h_months": fit.h_used,
-                            "b_months": fit.b_used,
-                            "n_left": fit.n_left,
-                            "n_right": fit.n_right,
-                            "poly_order": fit.poly_order,
-                            "kernel": fit.kernel,
-                        }
-                    )
+                    fit = asdict(rd_estimate(used, config.rdd_spec(estimand)))
+                    fit["h_months"], fit["b_months"] = fit.pop("h_used"), fit.pop("b_used")
+                    where = {"series": sdef.label, "transform": config.rdd.transform}
+                    rdd_records.append(where | {"vintage": config.rdd.vintage} | fit)
 
     audit_records = _audit(config, base_dir, records, series_map)
 
@@ -635,45 +617,19 @@ def _write_outputs(results: dict, figure_jobs, out_path: Path) -> None:
 def _write_audit_csv(audit_records: list[dict], path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "label",
-                "statistic",
-                "extracted_value",
-                "extracted_se",
-                "reconstructed_value",
-                "reconstructed_se",
-            ]
-        )
+        sides = [f"{side}_{column}" for side in AUDIT_SIDES for column in ("value", "se")]
+        writer.writerow(["label", "statistic", *sides])
         for r in audit_records:
-            ex, rc = r["coefficients"]["extracted"], r["coefficients"]["reconstructed"]
-            mex, mrc = r["means"]["extracted"], r["means"]["reconstructed"]
-            rows = [
-                ("change_in_level", ex["alpha1"], ex["alpha1_se"], rc["alpha1"], rc["alpha1_se"]),
-                ("change_in_slope", ex["alpha3"], ex["alpha3_se"], rc["alpha3"], rc["alpha3_se"]),
-                ("average_level", mex["overall"], "", mrc["overall"], ""),
-                ("pre_cutoff_mean", mex["pre"], "", mrc["pre"], ""),
-                ("post_cutoff_mean", mex["post"], "", mrc["post"], ""),
-                ("correlation", r["correlation"], "", "", ""),
-            ]
+            for statistic, _, _, ex, rc in audit_rows(r):
+                writer.writerow([r["label"], statistic, *_csv_side(ex), *_csv_side(rc)])
             if r.get("vintage_search"):
-                rows.append(("best_vintage", r["vintage_search"]["best"], "", "", ""))
-            for statistic, a, a_se, b, b_se in rows:
-                writer.writerow(
-                    [
-                        r["label"],
-                        statistic,
-                        _csv_num(a),
-                        _csv_num(a_se),
-                        _csv_num(b),
-                        _csv_num(b_se),
-                    ]
-                )
+                writer.writerow([r["label"], "best_vintage", r["vintage_search"]["best"], "", "", ""])
 
 
-def _csv_num(value) -> str:
-    if value == "":
-        return ""
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+def _csv_side(side) -> list[str]:
+    """A side of an audit row as its value and standard-error columns."""
+    if side is None:
+        return ["", ""]
+    if isinstance(side, tuple):
+        return [repr(float(side[0])), repr(float(side[1]))]
+    return [repr(float(side)), ""]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError, SpecError, require_choice
 from .months import month_diff
@@ -278,7 +278,7 @@ def _rd_core(t, y, *, nu, p, kernel, h, b, variance):
 def _p_value(estimate, se) -> float:
     if se <= 0:
         return 0.0 if estimate != 0 else 1.0
-    return float(2.0 * stats.norm.sf(abs(estimate) / se))
+    return float(2.0 * special.ndtr(-(abs(estimate) / se)))
 
 
 def _moment(kernel, j):

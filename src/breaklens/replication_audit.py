@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError
 from .months import month_diff
 from .series import MonthlySeries
-from .trade_ingest import CategorySet, RawTradeRecord, VintagePolicy, aggregate_series, apply_vintage
+from .trade_ingest import CategorySet, VintagePolicy, aggregate_series, apply_vintage
 from .trend_break import TrendBreakFit, TrendBreakSpec, fit_trend_break
 
 ONE_MINUS_CORRELATION = "one_minus_correlation"
@@ -112,7 +112,7 @@ def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> f
 
 
 def search_vintage_date(
-    raw_records: list[RawTradeRecord],
+    raw_records: np.recarray,
     target: MonthlySeries,
     candidate_dates: list[datetime],
     category_set: CategorySet,

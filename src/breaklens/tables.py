@@ -100,6 +100,35 @@ def render_rdd_table(records: list[dict], series_order: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+AUDIT_SIDES = ("extracted", "reconstructed")
+
+
+def audit_rows(record: dict) -> list[tuple]:
+    """The statistics of one audit record, read by both the audit table and
+    audit.csv: ``(name, label, format, extracted, reconstructed)``, where a
+    side is a ``(coef, se, p)`` triple, a number or None."""
+    means = [record["means"][side] for side in AUDIT_SIDES]
+
+    def coef(name: str) -> list[tuple]:
+        sides = [record["coefficients"][side] for side in AUDIT_SIDES]
+        return [(c[name], c[f"{name}_se"], c[f"{name}_p"]) for c in sides]
+
+    return [
+        ("change_in_level", "Change in level", ".2f", *coef("alpha1")),
+        ("change_in_slope", "Change in slope", ".2f", *coef("alpha3")),
+        ("average_level", "Average level", ".2f", *(m["overall"] for m in means)),
+        ("pre_cutoff_mean", "Pre-cutoff mean", ".2f", *(m["pre"] for m in means)),
+        ("post_cutoff_mean", "Post-cutoff mean", ".2f", *(m["post"] for m in means)),
+        ("correlation", "Correlation", ".4f", record["correlation"], None),
+    ]
+
+
+def _audit_cell(side, fmt: str) -> str:
+    if side is None:
+        return ""
+    return format_cell(*side) if isinstance(side, tuple) else format(side, fmt)
+
+
 def render_audit_table(records: list[dict]) -> str:
     """Extracted-versus-reconstructed comparison, one block per audit target."""
     lines = ["Series audit: extracted vs reconstructed", "=" * 62]
@@ -107,29 +136,11 @@ def render_audit_table(records: list[dict]) -> str:
         lines.append(
             f"{record['label']} (series {record['series']}, vintage {record['vintage']})"
         )
-        ex, rc = record["coefficients"]["extracted"], record["coefficients"]["reconstructed"]
-        mex, mrc = record["means"]["extracted"], record["means"]["reconstructed"]
         rows = [
-            (
-                "Change in level",
-                [
-                    format_cell(ex["alpha1"], ex["alpha1_se"], ex["alpha1_p"]),
-                    format_cell(rc["alpha1"], rc["alpha1_se"], rc["alpha1_p"]),
-                ],
-            ),
-            (
-                "Change in slope",
-                [
-                    format_cell(ex["alpha3"], ex["alpha3_se"], ex["alpha3_p"]),
-                    format_cell(rc["alpha3"], rc["alpha3_se"], rc["alpha3_p"]),
-                ],
-            ),
-            ("Average level", [f"{mex['overall']:.2f}", f"{mrc['overall']:.2f}"]),
-            ("Pre-cutoff mean", [f"{mex['pre']:.2f}", f"{mrc['pre']:.2f}"]),
-            ("Post-cutoff mean", [f"{mex['post']:.2f}", f"{mrc['post']:.2f}"]),
-            ("Correlation", [f"{record['correlation']:.4f}", ""]),
+            (label, [_audit_cell(ex, fmt), _audit_cell(rc, fmt)])
+            for _, label, fmt, ex, rc in audit_rows(record)
         ]
-        lines.extend(_layout(rows, ["extracted", "reconstructed"]))
+        lines.extend(_layout(rows, list(AUDIT_SIDES)))
         if record.get("vintage_search"):
             lines.append(
                 f"Best vintage cutoff: {record['vintage_search']['best']} "

@@ -4,6 +4,10 @@ The country under study reports no disaggregated imports itself, so monthly
 import series are mirror statistics built from partners' export submissions.
 Each record carries the submission timestamps needed to reconstruct the
 dataset as it stood at any historical instant (a data vintage).
+
+The records live in one NumPy record array (see :func:`record_array`), in
+file order; a vintage is a mask on ``first_submitted_at`` and a series is a
+masked ``bincount`` of ``value_usd`` by month.
 """
 
 from __future__ import annotations
@@ -13,15 +17,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import islice
+
+import numpy as np
 
 from .errors import DataError, RecordParseError
-from .months import (
-    format_period,
-    format_timestamp,
-    month_range,
-    parse_period,
-    parse_timestamp,
-)
+from .months import format_timestamp, month_index, month_range, parse_period, parse_timestamp
 from .series import LEVELS, MonthlySeries, SeriesMeta
 
 RECORD_COLUMNS = (
@@ -34,30 +35,28 @@ RECORD_COLUMNS = (
     "last_updated_at",
 )
 
+#: The record array's fields and dtypes; ``str`` becomes a fixed-width
+#: string as wide as the longest value. ``key`` is computed, not read.
+RECORD_FIELDS = (
+    ("period", "datetime64[M]"),
+    ("reporter", str),
+    ("partner", str),
+    ("hs2", str),
+    ("value_usd", np.float64),
+    ("first_submitted_at", "datetime64[s]"),
+    ("last_updated_at", "datetime64[s]"),
+    ("key", np.int64),
+)
+
+_EPOCH_MONTH = month_index(date(1970, 1, 1))  # integer months count from here in numpy
+
+#: Rows converted to columns at a time, so parsing never holds a Python
+#: object per row of the whole file.
+_CHUNK_ROWS = 1 << 14
+
 
 def _valid_hs2(code: str) -> bool:
     return len(code) == 2 and code.isdigit() and code != "00"
-
-
-@dataclass(frozen=True)
-class RawTradeRecord:
-    """One partner-reported monthly flow value with submission timestamps."""
-
-    period: date
-    reporter: str
-    partner: str
-    hs2: str
-    value_usd: float
-    first_submitted_at: datetime
-    last_updated_at: datetime
-
-    def __post_init__(self):
-        if self.value_usd < 0:
-            raise ValueError(f"value_usd must be nonnegative, got {self.value_usd}")
-        if self.first_submitted_at > self.last_updated_at:
-            raise ValueError("first_submitted_at is after last_updated_at")
-        if not _valid_hs2(self.hs2):
-            raise ValueError(f"hs2 must be a zero-padded code in 01..99, got {self.hs2!r}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,10 @@ class CategorySet:
     def __contains__(self, code: str) -> bool:
         return code in self.codes
 
+    def mask(self, records: np.recarray) -> np.ndarray:
+        """Which records fall in this set's chapters."""
+        return np.isin(records.hs2, sorted(self.codes))
+
 
 #: Restricted food basket: chapters 02-08 and 20-24 only, i.e. without the
 #: cereals-and-oils chapters 10-19.
@@ -115,13 +118,17 @@ MEDICINES = CategorySet("medicines", frozenset({"30"}))
 BUILTIN_CATEGORY_SETS = {s.name: s for s in (ANOVA_FOOD, FULL_FOOD, MEDICINES)}
 
 
-def _parse_row(rownum: int, row: dict[str, str]) -> RawTradeRecord:
+def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
+    """One validated row in the form :func:`record_array` takes, with the
+    month and the timestamps as integer offsets from the 1970 epoch (the
+    fastest form for numpy to convert)."""
+
     def fail(field_name: str, message: str):
         raise RecordParseError(rownum, field_name, message)
 
     raw_period = (row.get("period") or "").strip()
     try:
-        period = parse_period(raw_period)
+        period = month_index(parse_period(raw_period)) - _EPOCH_MONTH
     except ValueError as e:
         fail("period", str(e))
 
@@ -157,11 +164,43 @@ def _parse_row(rownum: int, row: dict[str, str]) -> RawTradeRecord:
     if first > last:
         fail("first_submitted_at", "is after last_updated_at")
 
-    return RawTradeRecord(period, reporter, partner, hs2, value, first, last)
+    return (period, reporter, partner, hs2, value, int(first.timestamp()), int(last.timestamp()))
 
 
-def parse_records(path) -> list[RawTradeRecord]:
-    """Parse a comma-separated trade-records file.
+def _keys(columns: list[np.ndarray]) -> np.ndarray:
+    """Dense integer ids of the (period, reporter, partner, hs2) tuples, one
+    field at a time so that no intermediate id exceeds rows squared."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns[:4]:
+        values, codes = np.unique(column, return_inverse=True)
+        key = np.unique(key * len(values) + codes, return_inverse=True)[1]
+    return key
+
+
+def record_array(rows) -> np.recarray:
+    """The record array of ``rows``, in their order.
+
+    Each row is ``(period, reporter, partner, hs2, value_usd,
+    first_submitted_at, last_updated_at)``: a month, three strings, a float
+    and two UTC instants, where a month or an instant is anything numpy
+    converts to the field's dtype (an integer offset from 1970-01 in months
+    or from 1970-01-01T00:00:00 in seconds, a ``datetime64``, a ``date`` or a
+    naive ``datetime``). Rows are not checked; :func:`parse_records`
+    validates them first. The fields are listed in :data:`RECORD_FIELDS`.
+    """
+    dtypes = [dtype for _, dtype in RECORD_FIELDS[:-1]]
+    rows = iter(rows)
+    chunks = [[np.array([], dtype) for dtype in dtypes]]  # so that no rows make empty columns
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        chunks.append([np.array(col, dtype) for col, dtype in zip(zip(*chunk), dtypes)])
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    del chunks
+    columns.append(_keys(columns))
+    return np.rec.fromarrays(columns, names=[name for name, _ in RECORD_FIELDS])
+
+
+def parse_records(path) -> np.recarray:
+    """Parse a comma-separated trade-records file into a record array.
 
     Expects a header row with the columns in :data:`RECORD_COLUMNS`. Rows are
     validated one by one; the first malformed row aborts with an error naming
@@ -175,41 +214,34 @@ def parse_records(path) -> list[RawTradeRecord]:
         missing = [c for c in RECORD_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        records = []
-        for rownum, row in enumerate(reader, start=1):
-            records.append(_parse_row(rownum, row))
-    return records
+        return record_array(_parse_row(n, row) for n, row in enumerate(reader, start=1))
 
 
-def serialize_records(records: list[RawTradeRecord], path) -> None:
+def serialize_records(records: np.recarray, path) -> None:
     """Write records back out in the canonical column order (UTC timestamps)."""
+    columns = [
+        np.char.replace(np.datetime_as_string(records.period), "-", ""),
+        records.reporter,
+        records.partner,
+        records.hs2,
+        map(repr, records.value_usd.tolist()),
+        np.char.add(np.datetime_as_string(records.first_submitted_at), "Z"),
+        np.char.add(np.datetime_as_string(records.last_updated_at), "Z"),
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    format_period(r.period),
-                    r.reporter,
-                    r.partner,
-                    r.hs2,
-                    repr(r.value_usd),
-                    format_timestamp(r.first_submitted_at),
-                    format_timestamp(r.last_updated_at),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
-def apply_vintage(
-    records: list[RawTradeRecord], policy: VintagePolicy
-) -> list[RawTradeRecord]:
+def apply_vintage(records: np.recarray, policy: VintagePolicy) -> np.recarray:
     """Restrict records to those already submitted at the policy cutoff."""
-    cutoff = policy.cutoff_instant
-    return [r for r in records if r.first_submitted_at <= cutoff]
+    cutoff = np.datetime64(policy.cutoff_instant.replace(tzinfo=None), "s")
+    return records[records.first_submitted_at <= cutoff]
 
 
 def aggregate_series(
-    records: list[RawTradeRecord],
+    records: np.recarray,
     category_set: CategorySet,
     months: tuple[date, date],
     *,
@@ -221,25 +253,17 @@ def aggregate_series(
     Months without any matching record aggregate to 0.0: that is the value a
     missing partner submission implicitly contributes. Duplicate keys
     (period/reporter/partner/hs2) are summed with a warning, since bulk files
-    may split consignments across rows.
+    may split consignments across rows. Values are added in row order.
     """
     start, end = months
-    grid = month_range(start, end)
-    index = {m: i for i, m in enumerate(grid)}
-    totals = [0.0] * len(grid)
-    seen: set[tuple] = set()
-    duplicates = 0
-    for r in records:
-        if r.hs2 not in category_set:
-            continue
-        key = (r.period, r.reporter, r.partner, r.hs2)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-        i = index.get(r.period)
-        if i is not None:
-            totals[i] += r.value_usd / 1e6
+    n_months = len(month_range(start, end))
+    in_set = category_set.mask(records)
+    duplicates = np.count_nonzero(in_set) - np.count_nonzero(np.bincount(records.key[in_set]))
+    offset = (records.period - np.datetime64(start, "M")).astype(np.int64)
+    take = in_set & (offset >= 0) & (offset < n_months)
+    weights = records.value_usd[take] / 1e6
+    # float even when nothing is taken: bincount then returns integer zeros
+    totals = np.bincount(offset[take], weights, n_months).astype(np.float64, copy=False)
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate period/reporter/partner/hs2 rows summed "
@@ -251,11 +275,11 @@ def aggregate_series(
         transform=LEVELS,
         label=label or category_set.name,
     )
-    return MonthlySeries(start, tuple(totals), meta)
+    return MonthlySeries(start, tuple(totals.tolist()), meta)
 
 
 def category_share(
-    records: list[RawTradeRecord],
+    records: np.recarray,
     subset: CategorySet,
     total: CategorySet,
     year: int,
@@ -266,17 +290,10 @@ def category_share(
             f"{subset.name!r} is not a subset of {total.name!r}: "
             f"extra codes {sorted(subset.codes - total.codes)}"
         )
-    subset_sum = 0.0
-    total_sum = 0.0
-    for r in records:
-        if r.period.year != year:
-            continue
-        if r.hs2 in total:
-            total_sum += r.value_usd
-        if r.hs2 in subset:
-            subset_sum += r.value_usd
+    in_year = records.period.astype("datetime64[Y]").astype(np.int64) + 1970 == year
+    total_sum = float(records.value_usd[in_year & total.mask(records)].sum())
     if total_sum <= 0.0:
         raise DataError(
             f"undefined share: total over {total.name!r} in {year} is zero"
         )
-    return subset_sum / total_sum
+    return float(records.value_usd[in_year & subset.mask(records)].sum()) / total_sum

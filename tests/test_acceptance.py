@@ -27,7 +27,6 @@ from breaklens.trade_ingest import (
     FULL_FOOD,
     MEDICINES,
     CategorySet,
-    RawTradeRecord,
     VintagePolicy,
     aggregate_series,
     apply_vintage,
@@ -43,6 +42,7 @@ from breaklens.trend_break import (
     log_transform,
     segment_trend,
 )
+from util import record, records_of
 from conftest import REPLICATION_DIR
 from util import CUTOFF, WINDOW_START, piecewise, series_from_fn
 
@@ -197,28 +197,31 @@ def test_criterion_6_vintage_monotonicity_and_additivity():
     part_a = CategorySet("part_a", frozenset({"02", "03", "04", "06", "07", "08"}))
     part_b = CategorySet("part_b", FULL_FOOD.codes - part_a.codes)
     for k in range(1000):
-        records = [
-            RawTradeRecord(
-                period=date(2017, int(rng.integers(1, 13)), 1),
-                reporter="VEN",
-                partner=f"P{i}",
-                hs2=chapters[int(rng.integers(0, len(chapters)))],
-                value_usd=float(rng.uniform(0, 5e6)),
-                first_submitted_at=datetime(
-                    2018 + int(rng.integers(0, 4)),
-                    int(rng.integers(1, 13)),
-                    int(rng.integers(1, 28)),
-                    tzinfo=timezone.utc,
-                ),
-                last_updated_at=datetime(2023, 1, 1, tzinfo=timezone.utc),
+        records = records_of(
+            *(
+                record(
+                    period=date(2017, int(rng.integers(1, 13)), 1),
+                    reporter="VEN",
+                    partner=f"P{i}",
+                    hs2=chapters[int(rng.integers(0, len(chapters)))],
+                    value_usd=float(rng.uniform(0, 5e6)),
+                    submitted=datetime(
+                        2018 + int(rng.integers(0, 4)),
+                        int(rng.integers(1, 13)),
+                        int(rng.integers(1, 28)),
+                        tzinfo=timezone.utc,
+                    ),
+                    updated=datetime(2023, 1, 1, tzinfo=timezone.utc),
+                )
+                for i in range(int(rng.integers(5, 25)))
             )
-            for i in range(int(rng.integers(5, 25)))
-        ]
+        )
         c1 = datetime(2019, int(rng.integers(1, 13)), 1, tzinfo=timezone.utc)
         c2 = c1 + timedelta(days=int(rng.integers(30, 720)))
         kept1 = apply_vintage(records, VintagePolicy(cutoff_instant=c1))
         kept2 = apply_vintage(records, VintagePolicy(cutoff_instant=c2))
-        assert set(map(id, kept1)) <= set(map(id, kept2))
+        # every row is unique (one partner per row), so rows stand for records
+        assert set(kept1.tolist()) <= set(kept2.tolist())
         s1 = aggregate_series(kept1, FULL_FOOD, span)
         s2 = aggregate_series(kept2, FULL_FOOD, span)
         assert all(a <= b + 1e-12 for a, b in zip(s1.values, s2.values))
@@ -242,19 +245,21 @@ TABLE2_SHARES = {
 def test_criterion_7_chapter_share_fixture():
     """A 2017 fixture with the published chapter shares: the omitted chapters
     10-19 carry 79.7% of food imports and all shares sum to 100%."""
-    records = [
-        RawTradeRecord(
-            period=date(2017, 6, 1),
-            reporter="VEN",
-            partner="ALL",
-            hs2=code,
-            value_usd=share * 1e7,
-            first_submitted_at=datetime(2018, 1, 1, tzinfo=timezone.utc),
-            last_updated_at=datetime(2018, 1, 1, tzinfo=timezone.utc),
+    records = records_of(
+        *(
+            record(
+                period=date(2017, 6, 1),
+                reporter="VEN",
+                partner="ALL",
+                hs2=code,
+                value_usd=share * 1e7,
+                submitted=datetime(2018, 1, 1, tzinfo=timezone.utc),
+                updated=datetime(2018, 1, 1, tzinfo=timezone.utc),
+            )
+            for code, share in TABLE2_SHARES.items()
+            if share > 0.0
         )
-        for code, share in TABLE2_SHARES.items()
-        if share > 0.0
-    ]
+    )
     excluded = CategorySet("cereals_and_oils", FULL_FOOD.codes - ANOVA_FOOD.codes)
     share = category_share(records, excluded, FULL_FOOD, 2017)
     assert share == pytest.approx(0.797, abs=0.0005)

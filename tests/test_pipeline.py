@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import breaklens.pipeline as pipeline
@@ -25,7 +29,7 @@ from breaklens.trend_break import (
     fit_trend_break,
     log_transform,
 )
-from util import CUTOFF, piecewise, series_from_fn, set_path
+from util import CUTOFF, piecewise, reference_series, series_from_fn, set_path, ts
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +310,72 @@ class TestCli:
         series = read_series_csv(out)
         assert len(series) > 100
         assert all(v is not None for v in series.values)
+        # the span is that of the records kept at the vintage; the values are
+        # the per-record reference's, bit for bit
+        records = parse_records(fixtures_dir_module / "demo_records.csv")
+        cutoff = np.datetime64("2020-10-01T00:00:00")
+        kept_months = sorted({r.period.item() for r in records if r.first_submitted_at <= cutoff})
+        span = (kept_months[0], kept_months[-1])
+        assert (series.start_month, series.end_month) == span
+        medicines = BUILTIN_CATEGORY_SETS["medicines"]
+        want, duplicates = reference_series(records, medicines, span, ts(2020, 10, 1))
+        assert series.values == want
+        assert duplicates == 0
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    def test_timestamp_leaving_the_calendar_is_a_row_error(
+        self, command, fixtures_dir_module, tmp_path, capsys
+    ):
+        # 00:00 at +01:00 on 0001-01-01 is in year 0 in UTC
+        data = tmp_path / "records.csv"
+        data.write_text(
+            "period,reporter_code,partner_code,hs2_code,value_usd,first_submitted_at,last_updated_at\n"
+            "201504,VEN,DEU,02,1,2015-01-01T00:00:00Z,2015-01-01T00:00:00Z\n"
+            "201504,VEN,USA,02,1,0001-01-01T00:00:00+01:00,2015-01-01T00:00:00Z\n",
+            encoding="utf-8",
+        )
+        if command == "ingest":
+            argv = ["ingest", "--data", str(data), "--series", "medicines"]
+            argv += ["--out", str(tmp_path / "series.csv")]
+        else:
+            raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+            raw["data_file"] = str(data)
+            raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+            (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+            argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "row 2, field 'first_submitted_at': timestamp leaves years 1-9999" in err
+
+    @pytest.mark.parametrize(
+        "vintage, code, message",
+        [
+            ("0001-01-01T00:00:00+01:00", 1, "config error: timestamp leaves years 1-9999"),
+            # a year below 1000 is formatted with four digits and parses back
+            ("0001-01-01T05:00:00Z", 2, "data error: no records remain"),
+        ],
+    )
+    def test_ingest_vintage_at_the_calendar_edge(
+        self, vintage, code, message, fixtures_dir_module, tmp_path, capsys
+    ):
+        argv = ["ingest", "--data", str(fixtures_dir_module / "demo_records.csv")]
+        argv += ["--vintage", vintage, "--series", "medicines", "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs most of a second to import; p-values need only scipy.special
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, breaklens.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_ingest_unknown_set_exit_one(self, fixtures_dir_module, tmp_path):
         code = main(

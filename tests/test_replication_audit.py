@@ -12,7 +12,7 @@ from breaklens.replication_audit import (
 from breaklens.series import MonthlySeries, SeriesMeta
 from breaklens.trade_ingest import ANOVA_FOOD, aggregate_series
 from breaklens.trend_break import TrendBreakSpec
-from util import CUTOFF, WINDOW_START, piecewise, record, series_from_fn, ts
+from util import CUTOFF, WINDOW_START, piecewise, record, records_of, series_from_fn, ts
 
 SPEC = TrendBreakSpec(cutoff_month=CUTOFF)
 
@@ -96,13 +96,13 @@ class TestVintageSearch:
                 records.append(
                     record(period=period, partner="P3", value_usd=3e6, submitted=ts(2020, 11, 25))
                 )
-        return records
+        return records_of(*records)
 
     def test_planted_optimum_is_exact(self):
         records = self._planted_records()
         true_cutoff = ts(2020, 11, 1)
         target = aggregate_series(
-            [r for r in records if r.first_submitted_at <= true_cutoff],
+            records[records.first_submitted_at <= np.datetime64(true_cutoff.replace(tzinfo=None))],
             ANOVA_FOOD,
             (date(2017, 1, 1), date(2017, 12, 1)),
         )
@@ -151,7 +151,7 @@ class TestVintageSearch:
         records = self._planted_records()
         true_cutoff = ts(2020, 12, 15)
         target = aggregate_series(
-            [r for r in records if r.first_submitted_at <= true_cutoff],
+            records[records.first_submitted_at <= np.datetime64(true_cutoff.replace(tzinfo=None))],
             ANOVA_FOOD,
             (date(2017, 1, 1), date(2017, 12, 1)),
         )

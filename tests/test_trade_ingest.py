@@ -1,8 +1,11 @@
 import textwrap
-from datetime import date, timezone
+import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from breaklens.errors import DataError, RecordParseError
 from breaklens.trade_ingest import (
@@ -15,9 +18,10 @@ from breaklens.trade_ingest import (
     apply_vintage,
     category_share,
     parse_records,
+    record_array,
     serialize_records,
 )
-from util import record, ts
+from util import record, records_of, reference_series, ts
 
 HEADER = "period,reporter_code,partner_code,hs2_code,value_usd,first_submitted_at,last_updated_at\n"
 
@@ -30,7 +34,7 @@ def write(tmp_path, body, name="records.csv"):
 
 class TestParseRecords:
     def test_empty_file_with_header(self, tmp_path):
-        assert parse_records(write(tmp_path, "")) == []
+        assert len(parse_records(write(tmp_path, ""))) == 0
 
     def test_three_row_fixture(self, tmp_path):
         path = write(
@@ -43,13 +47,14 @@ class TestParseRecords:
         )
         records = parse_records(path)
         assert len(records) == 3
-        assert records[0].period == date(2015, 4, 1)
+        assert records[0].period == np.datetime64("2015-04")
+        assert records[0].period.item() == date(2015, 4, 1)
         assert records[0].hs2 == "02"
         assert records[0].value_usd == 5_000_000.0
         # offsets are normalized to UTC: 00:00+02:00 is 22:00 the day before
-        assert records[1].first_submitted_at.hour == 22
-        assert records[1].first_submitted_at.day == 9
-        assert records[1].first_submitted_at.tzinfo == timezone.utc
+        assert records[1].first_submitted_at == np.datetime64("2015-09-09T22:00:00")
+        assert records[0].first_submitted_at == np.datetime64("2015-08-03T10:15:00")
+        assert records[2].first_submitted_at == np.datetime64("2016-02-20T00:00:00")
         assert records[2].value_usd == 0.0
 
     def test_negative_value_names_row_and_field(self, tmp_path):
@@ -103,56 +108,64 @@ class TestParseRecords:
         first = parse_records(path)
         out = tmp_path / "roundtrip.csv"
         serialize_records(first, out)
-        assert parse_records(out) == first
+        again = parse_records(out)
+        assert again.dtype == first.dtype
+        assert again.tolist() == first.tolist()
 
 
 class TestVintage:
     def test_cutoff_after_everything_is_identity(self):
-        records = [record(submitted=ts(2019, m)) for m in (1, 5, 9)]
+        records = records_of(*(record(submitted=ts(2019, m)) for m in (1, 5, 9)))
         policy = VintagePolicy(cutoff_instant=ts(2020, 1))
-        assert apply_vintage(records, policy) == records
+        assert apply_vintage(records, policy).tolist() == records.tolist()
 
     def test_cutoff_before_everything_is_empty(self):
-        records = [record(submitted=ts(2019, m)) for m in (1, 5, 9)]
-        assert apply_vintage(records, VintagePolicy(cutoff_instant=ts(2018, 1))) == []
+        records = records_of(*(record(submitted=ts(2019, m)) for m in (1, 5, 9)))
+        assert len(apply_vintage(records, VintagePolicy(cutoff_instant=ts(2018, 1)))) == 0
 
     def test_mid_cutoff_keeps_earlier_submission(self):
         early = record(submitted=ts(2020, 9, 15))
         late = record(partner="USA", submitted=ts(2020, 11, 2))
-        kept = apply_vintage([early, late], VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
-        assert kept == [early]
+        records = records_of(early, late)
+        kept = apply_vintage(records, VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
+        assert kept.tolist() == records[:1].tolist()
 
     def test_boundary_instant_is_kept(self):
         boundary = record(submitted=ts(2020, 10, 1))
-        kept = apply_vintage([boundary], VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
-        assert kept == [boundary]
+        records = records_of(boundary)
+        kept = apply_vintage(records, VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
+        assert kept.tolist() == records.tolist()
 
     def test_updated_value_is_retained(self):
         # submitted before the cutoff but updated long after: still kept,
         # and the (latest) value on file is what aggregates
         r = record(value_usd=7e6, submitted=ts(2020, 9, 1), updated=ts(2022, 5, 1))
-        kept = apply_vintage([r], VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
-        assert kept == [r]
+        records = records_of(r)
+        kept = apply_vintage(records, VintagePolicy(cutoff_instant=ts(2020, 10, 1)))
+        assert kept.tolist() == records.tolist()
         assert kept[0].value_usd == 7e6
 
     def test_monotonicity_randomized(self):
         rng = np.random.default_rng(3)
         chapters = sorted(FULL_FOOD.codes)
         for _ in range(50):
-            records = [
-                record(
-                    period=date(2017, int(rng.integers(1, 13)), 1),
-                    partner=f"P{k}",
-                    hs2=chapters[rng.integers(0, len(chapters))],
-                    value_usd=float(rng.uniform(0, 5e6)),
-                    submitted=ts(2018 + int(rng.integers(0, 3)), int(rng.integers(1, 13))),
+            records = records_of(
+                *(
+                    record(
+                        period=date(2017, int(rng.integers(1, 13)), 1),
+                        partner=f"P{k}",
+                        hs2=chapters[rng.integers(0, len(chapters))],
+                        value_usd=float(rng.uniform(0, 5e6)),
+                        submitted=ts(2018 + int(rng.integers(0, 3)), int(rng.integers(1, 13))),
+                    )
+                    for k in range(30)
                 )
-                for k in range(30)
-            ]
+            )
             c1, c2 = ts(2019, 6), ts(2020, 6)
             kept1 = apply_vintage(records, VintagePolicy(cutoff_instant=c1))
             kept2 = apply_vintage(records, VintagePolicy(cutoff_instant=c2))
-            assert set(map(id, kept1)) <= set(map(id, kept2))
+            # every row is unique (one partner per row), so rows stand for records
+            assert set(kept1.tolist()) <= set(kept2.tolist())
             span = (date(2017, 1, 1), date(2017, 12, 1))
             s1 = aggregate_series(kept1, FULL_FOOD, span)
             s2 = aggregate_series(kept2, FULL_FOOD, span)
@@ -163,28 +176,28 @@ class TestAggregate:
     SPAN = (date(2017, 1, 1), date(2017, 3, 1))
 
     def test_single_record_in_millions(self):
-        s = aggregate_series([record(value_usd=5_000_000)], ANOVA_FOOD, self.SPAN)
+        s = aggregate_series(records_of(record(value_usd=5_000_000)), ANOVA_FOOD, self.SPAN)
         assert s.value_at(date(2017, 1, 1)) == pytest.approx(5.0)
 
     def test_two_partners_add(self):
-        records = [
+        records = records_of(
             record(partner="DEU", value_usd=3e6),
             record(partner="USA", value_usd=4e6),
-        ]
+        )
         s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
         assert s.value_at(date(2017, 1, 1)) == pytest.approx(7.0)
 
     def test_empty_month_is_zero(self):
-        s = aggregate_series([record()], ANOVA_FOOD, self.SPAN)
+        s = aggregate_series(records_of(record()), ANOVA_FOOD, self.SPAN)
         assert s.value_at(date(2017, 3, 1)) == 0.0
 
     def test_category_filter(self):
-        records = [record(hs2="02", value_usd=1e6), record(hs2="30", value_usd=9e6)]
+        records = records_of(record(hs2="02", value_usd=1e6), record(hs2="30", value_usd=9e6))
         s = aggregate_series(records, MEDICINES, self.SPAN)
         assert s.value_at(date(2017, 1, 1)) == pytest.approx(9.0)
 
     def test_duplicate_keys_sum_with_warning(self):
-        records = [record(value_usd=1e6), record(value_usd=2e6)]
+        records = records_of(record(value_usd=1e6), record(value_usd=2e6))
         with pytest.warns(UserWarning, match="duplicate"):
             s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
         assert s.value_at(date(2017, 1, 1)) == pytest.approx(3.0)
@@ -192,15 +205,17 @@ class TestAggregate:
     def test_additivity_over_disjoint_sets(self):
         rng = np.random.default_rng(11)
         chapters = sorted(FULL_FOOD.codes)
-        records = [
-            record(
-                period=date(2017, int(rng.integers(1, 4)), 1),
-                partner=f"P{k}",
-                hs2=chapters[int(rng.integers(0, len(chapters)))],
-                value_usd=float(rng.uniform(0, 1e6)),
+        records = records_of(
+            *(
+                record(
+                    period=date(2017, int(rng.integers(1, 4)), 1),
+                    partner=f"P{k}",
+                    hs2=chapters[int(rng.integers(0, len(chapters)))],
+                    value_usd=float(rng.uniform(0, 1e6)),
+                )
+                for k in range(60)
             )
-            for k in range(60)
-        ]
+        )
         part_a = CategorySet("a", frozenset({"02", "03", "04"}))
         part_b = CategorySet("b", FULL_FOOD.codes - part_a.codes)
         sa = aggregate_series(records, part_a, self.SPAN)
@@ -225,29 +240,86 @@ class TestCategorySets:
 
 class TestCategoryShare:
     def test_subset_equals_total(self):
-        records = [record(hs2="02", value_usd=5e6), record(hs2="04", value_usd=5e6)]
+        records = records_of(record(hs2="02", value_usd=5e6), record(hs2="04", value_usd=5e6))
         assert category_share(records, FULL_FOOD, FULL_FOOD, 2017) == 1.0
 
     def test_zero_valued_subset(self):
-        records = [
+        records = records_of(
             record(hs2="02", value_usd=5e6),
             record(hs2="10", value_usd=0.0, partner="USA"),
-        ]
+        )
         cereals = CategorySet("cereals", frozenset({"10"}))
         assert category_share(records, cereals, FULL_FOOD, 2017) == 0.0
 
     def test_zero_total_errors(self):
         with pytest.raises(DataError, match="undefined share"):
-            category_share([], ANOVA_FOOD, FULL_FOOD, 2017)
+            category_share(records_of(), ANOVA_FOOD, FULL_FOOD, 2017)
 
     def test_not_a_subset_errors(self):
         with pytest.raises(ValueError, match="not a subset"):
-            category_share([record()], FULL_FOOD, ANOVA_FOOD, 2017)
+            category_share(records_of(record()), FULL_FOOD, ANOVA_FOOD, 2017)
 
     def test_year_filter(self):
-        records = [
+        records = records_of(
             record(period=date(2017, 5, 1), hs2="10", value_usd=1e6),
             record(period=date(2018, 5, 1), hs2="02", value_usd=9e6),
-        ]
+        )
         cereals = CategorySet("cereals", frozenset({"10"}))
         assert category_share(records, cereals, FULL_FOOD, 2017) == 1.0
+
+
+class TestAggregateMatchesReference:
+    """Masks and ``bincount`` give the per-record loop's series bit for bit,
+    and its duplicate count, on random record arrays, cutoffs and sets."""
+
+    CODES = ("02", "04", "10", "17", "22", "30")
+    FIRST_MONTH = np.datetime64("2016-11")
+    # mixed magnitudes, so that a sum of three or more depends on its order
+    VALUES = st.floats(0, 1e10, allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, 0.1, 0.7, 1e-300, 3.3e6, 123456789.123]
+    )
+    ROWS = st.tuples(
+        st.integers(0, 5).map(FIRST_MONTH.__add__),  # few months, so they collect rows
+        st.sampled_from(["VEN", "COL"]),
+        st.sampled_from(["P1", "P2", "DEU7", "P12345"]),
+        st.sampled_from(CODES),
+        VALUES,
+        # submitted (and last updated) on one of a few hours, so cutoffs hit them
+        st.integers(0, 48).map(lambda h: np.datetime64("2018-01-01T00") + np.timedelta64(h, "h")),
+    )
+
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.lists(ROWS, max_size=120),
+        cutoff_hour=st.none() | st.integers(-1, 49),
+        codes=st.sets(st.sampled_from(CODES), min_size=1),
+        start=st.integers(-2, 5),
+        length=st.integers(1, 9),  # up to 2016-09..2017-05, past the data at each end
+    )
+    def test_vintage_series_and_duplicates(self, rows, cutoff_hour, codes, start, length):
+        records = record_array(row + row[-1:] for row in rows)
+        category = CategorySet("drawn", frozenset(codes))
+        first = (self.FIRST_MONTH + start).item()
+        span = (first, (self.FIRST_MONTH + start + length - 1).item())
+        cutoff = None
+        kept = records
+        if cutoff_hour is not None:
+            cutoff = ts(2018, 1, 1) + timedelta(hours=cutoff_hour)
+            kept = apply_vintage(records, VintagePolicy(cutoff))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = aggregate_series(kept, category, span)
+
+        want, duplicates = reference_series(records, category, span, cutoff)
+        assert [v.hex() for v in got.values] == [v.hex() for v in want]
+        expected = [
+            f"{duplicates} duplicate period/reporter/partner/hs2 rows summed "
+            "while aggregating 'drawn'"
+        ]
+        assert [str(w.message) for w in caught] == (expected if duplicates else [])

@@ -5,8 +5,11 @@ from __future__ import annotations
 import re
 from datetime import date, datetime, timezone
 
+import numpy as np
+
+from breaklens.months import month_range
 from breaklens.series import MonthlySeries, SeriesMeta
-from breaklens.trade_ingest import RawTradeRecord
+from breaklens.trade_ingest import record_array
 
 CUTOFF = date(2017, 8, 1)
 WINDOW_START = date(2015, 4, 1)
@@ -24,18 +27,46 @@ def record(
     value_usd=1_000_000.0,
     submitted=None,
     updated=None,
-) -> RawTradeRecord:
+) -> tuple:
+    """One row in the form ``record_array`` takes; timestamps are aware."""
     submitted = submitted or ts(2018, 6, 1)
     updated = updated or submitted
-    return RawTradeRecord(
-        period=period,
-        reporter=reporter,
-        partner=partner,
-        hs2=hs2,
-        value_usd=value_usd,
-        first_submitted_at=submitted,
-        last_updated_at=updated,
-    )
+    naive_utc = [t.astimezone(timezone.utc).replace(tzinfo=None) for t in (submitted, updated)]
+    return (period, reporter, partner, hs2, value_usd, *naive_utc)
+
+
+def records_of(*rows) -> np.recarray:
+    """The record array of ``record(...)`` rows."""
+    return record_array(rows)
+
+
+def reference_series(records, category_set, months, cutoff=None):
+    """The per-record aggregation loop that ``apply_vintage`` plus
+    ``aggregate_series`` replaced: the monthly values in USD millions and the
+    number of duplicate period/reporter/partner/hs2 rows in the category."""
+    start, end = months
+    grid = month_range(start, end)
+    index = {m: i for i, m in enumerate(grid)}
+    totals = [0.0] * len(grid)
+    seen: set[tuple] = set()
+    duplicates = 0
+    if cutoff is not None:
+        cutoff = np.datetime64(cutoff.astimezone(timezone.utc).replace(tzinfo=None), "s")
+    for r in records:
+        if cutoff is not None and r.first_submitted_at > cutoff:
+            continue
+        if r.hs2 not in category_set:
+            continue
+        period = r.period.item()
+        key = (period, r.reporter, r.partner, r.hs2)
+        if key in seen:
+            duplicates += 1
+        else:
+            seen.add(key)
+        i = index.get(period)
+        if i is not None:
+            totals[i] += float(r.value_usd) / 1e6
+    return tuple(totals), duplicates
 
 
 def series_from_fn(fn, start=WINDOW_START, cutoff=CUTOFF, n=57, transform="levels", **meta):
