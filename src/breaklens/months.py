@@ -2,7 +2,8 @@
 
 Months are represented as ``datetime.date`` objects pinned to the first day
 of the month. Timestamps are timezone-aware UTC datetimes truncated to whole
-seconds (comparison resolution for vintage cutoffs).
+seconds (comparison resolution for vintage cutoffs); a naive datetime or
+timestamp string is read as UTC.
 """
 
 from __future__ import annotations
@@ -71,13 +72,23 @@ def format_period(d: date) -> str:
     return f"{d.year:04d}{d.month:02d}"
 
 
-def parse_timestamp(s: str) -> datetime:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime.
+def as_utc(ts: datetime) -> datetime:
+    """``ts`` as an aware UTC datetime truncated to whole seconds.
 
-    Naive timestamps are read as UTC; offsets are converted. Sub-second
-    precision is truncated (cutoff comparisons are at second resolution).
-    A bare date parses as midnight UTC.
+    A naive ``ts`` is read as UTC, never in the host's zone. Raises
+    ``ValueError`` when the UTC time leaves years 1-9999.
     """
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc).replace(microsecond=0)
+    except OverflowError as e:
+        raise ValueError(f"timestamp leaves years 1-9999 in UTC: {ts.isoformat()!r}") from e
+
+
+def parse_timestamp(s: str) -> datetime:
+    """Parse an ISO-8601 timestamp into an aware UTC datetime (see
+    :func:`as_utc`). A bare date parses as midnight UTC."""
     s = s.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
@@ -85,14 +96,10 @@ def parse_timestamp(s: str) -> datetime:
         ts = datetime.fromisoformat(s)
     except ValueError as e:
         raise ValueError(f"invalid ISO-8601 timestamp: {s!r}") from e
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    try:
-        return ts.astimezone(timezone.utc).replace(microsecond=0)
-    except OverflowError as e:
-        raise ValueError(f"timestamp leaves years 1-9999 in UTC: {s!r}") from e
+    return as_utc(ts)
 
 
 def format_timestamp(ts: datetime) -> str:
-    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC, the year zero-padded to four digits."""
-    return ts.astimezone(timezone.utc).replace(microsecond=0, tzinfo=None).isoformat() + "Z"
+    """``YYYY-MM-DDTHH:MM:SSZ`` in UTC (see :func:`as_utc`), the year
+    zero-padded to four digits."""
+    return as_utc(ts).replace(tzinfo=None).isoformat() + "Z"

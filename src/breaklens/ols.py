@@ -49,10 +49,10 @@ def fit_ols(
     n, k = X.shape
     if n <= k:
         raise EstimationError(f"insufficient observations: n={n} with k={k} regressors")
-    if np.linalg.matrix_rank(X) < k:
+    # lstsq's rank uses matrix_rank's tolerance, eps * max(n, k) * largest singular value
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < k:
         raise EstimationError("rank-deficient design matrix")
-
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     residuals = y - X @ coef
     rss = float(residuals @ residuals)
     xtx_inv = np.linalg.inv(X.T @ X)

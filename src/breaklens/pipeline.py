@@ -405,19 +405,17 @@ def export_figure_data(
     spec = fit.spec
     horizon = len(counterfactual.values) - 1
     t_end = max(spec.post_window - 1, horizon)
+    t_obs, y_obs = series.to_arrays(spec.cutoff_month)
+    observed = dict(zip(t_obs.astype(int).tolist(), map(repr, y_obs.tolist())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["month", "observed", "fitted_pre", "fitted_post", "counterfactual"])
         for t in range(-spec.pre_window, t_end + 1):
             month = add_months(spec.cutoff_month, t)
-            observed = ""
-            if series.covers(month, month):
-                v = series.value_at(month)
-                observed = "" if v is None else repr(float(v))
             fitted_pre = ""
             fitted_post = ""
             if t <= spec.post_window - 1:
-                if fit.spec.indicator(t) == 0:
+                if not spec.indicator(t):
                     fitted_pre = repr(fit.alpha0 + fit.alpha2 * t)
                 else:
                     fitted_post = repr(
@@ -426,7 +424,7 @@ def export_figure_data(
             cf = ""
             if 0 <= t <= horizon:
                 cf = repr(counterfactual.values[t])
-            writer.writerow([format_month(month), observed, fitted_pre, fitted_post, cf])
+            writer.writerow([format_month(month), observed.get(t, ""), fitted_pre, fitted_post, cf])
 
 
 def _aggregation_span(config: RunConfig) -> tuple[date, date]:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special
 
 from .errors import EstimationError, SpecError, require_choice
-from .months import month_diff
+from .months import month_diff, month_index
 from .series import MonthlySeries
 
 TRIANGULAR = "triangular"
@@ -385,13 +385,11 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
 
 
 def _series_points(series: MonthlySeries, spec: RddSpec):
-    start, end = spec.bandwidth_sample
-    lo = max(0, month_diff(start, series.start_month))
-    hi = min(len(series) - 1, month_diff(end, series.start_month))
-    if hi < lo:
+    start = max(spec.bandwidth_sample[0], series.start_month, key=month_index)
+    end = min(spec.bandwidth_sample[1], series.end_month, key=month_index)
+    if month_diff(end, start) < 0:
         raise EstimationError("bandwidth sample does not intersect the series")
-    window = series.window(series.month_at(lo), series.month_at(hi))
-    return window.to_arrays(spec.cutoff_month)
+    return series.window(start, end).to_arrays(spec.cutoff_month)
 
 
 def local_poly_fit(

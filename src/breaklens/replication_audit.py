@@ -13,7 +13,6 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import DataError
-from .months import month_diff
 from .series import MonthlySeries
 from .trade_ingest import CategorySet, VintagePolicy, aggregate_series, apply_vintage
 from .trend_break import TrendBreakFit, TrendBreakSpec, fit_trend_break
@@ -39,19 +38,12 @@ class SeriesComparison:
     means_b: SegmentMeans
 
 
-def _overlap(a: MonthlySeries, b: MonthlySeries):
-    start = max(a.start_month, b.start_month)
-    end = min(a.end_month, b.end_month)
-    months, xa, xb = [], [], []
-    if month_diff(end, start) >= 0:
-        ia, ib = a.index_of(start), b.index_of(start)
-        for k in range(month_diff(end, start) + 1):
-            va, vb = a.values[ia + k], b.values[ib + k]
-            if va is not None and vb is not None:
-                months.append(a.month_at(ia + k))
-                xa.append(va)
-                xb.append(vb)
-    return months, np.asarray(xa), np.asarray(xb)
+def _overlap(a: MonthlySeries, b: MonthlySeries, origin: date):
+    """Months from ``origin`` at which both series have a value, and the two values."""
+    ta, xa = a.to_arrays(origin)
+    tb, xb = b.to_arrays(origin)
+    t, ia, ib = np.intersect1d(ta, tb, assume_unique=True, return_indices=True)
+    return t, xa[ia], xb[ib]
 
 
 def _means(values: np.ndarray, is_post: np.ndarray) -> SegmentMeans:
@@ -74,20 +66,20 @@ def compare_series(
     split puts the cutoff month in the post segment. Correlation and maximum
     absolute difference are symmetric in the arguments.
     """
-    months, xa, xb = _overlap(a, b)
-    if len(months) < 3:
+    t, xa, xb = _overlap(a, b, cutoff_month)
+    if len(t) < 3:
         raise DataError(
-            f"insufficient overlap: {len(months)} common non-missing months, need >= 3"
+            f"insufficient overlap: {len(t)} common non-missing months, need >= 3"
         )
     if np.std(xa) == 0.0 or np.std(xb) == 0.0:
         correlation = 1.0 if np.allclose(xa - xa.mean(), xb - xb.mean()) else float("nan")
     else:
         correlation = float(np.corrcoef(xa, xb)[0, 1])
-    is_post = np.asarray([month_diff(m, cutoff_month) >= 0 for m in months])
+    is_post = t >= 0
     return SeriesComparison(
         correlation=correlation,
         max_abs_diff=float(np.max(np.abs(xa - xb))),
-        n_overlap=len(months),
+        n_overlap=len(t),
         means_a=_means(xa, is_post),
         means_b=_means(xb, is_post),
     )
@@ -101,7 +93,7 @@ class VintageSearchResult:
 
 
 def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> float:
-    _, xa, xb = _overlap(target, candidate)
+    _, xa, xb = _overlap(target, candidate, target.start_month)
     if len(xa) < 3:
         raise DataError("insufficient overlap between target and reconstruction")
     if metric == RMS_DIFFERENCE:

@@ -1,9 +1,11 @@
 """Gap-aware monthly value series in USD millions.
 
-A ``MonthlySeries`` stores one value per consecutive calendar month; missing
-observations are explicit ``None`` entries, never skipped months. Values are
-USD millions per month in levels, or natural-log points after the log
-transform.
+A ``MonthlySeries`` stores one value per consecutive calendar month in a
+read-only float64 array; a missing observation is NaN, never a skipped
+month. Values are USD millions per month in levels, or natural-log points
+after the log transform. The estimators and the audit never test for NaN:
+they take a span with :meth:`MonthlySeries.window` and the present months
+with :meth:`MonthlySeries.to_arrays`.
 """
 
 from __future__ import annotations
@@ -40,28 +42,36 @@ class SeriesMeta:
     n_nonpositive: int = 0  # values dropped by the log transform
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonthlySeries:
+    """One value per month from ``start_month`` on.
+
+    ``values`` accepts any sequence of numbers with ``None`` or NaN for a
+    missing month and is stored as a read-only float64 array (a copy).
+    """
+
     start_month: date
-    values: tuple[float | None, ...]
+    values: np.ndarray
     meta: SeriesMeta = field(default_factory=SeriesMeta)
 
     def __post_init__(self):
         object.__setattr__(self, "start_month", date(self.start_month.year, self.start_month.month, 1))
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+        values = np.array(self.values, dtype=np.float64)  # None becomes NaN
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1 or not len(values):
             raise DataError("a monthly series needs at least one month")
         if self.meta.transform not in TRANSFORMS:
             raise DataError(f"unknown transform tag: {self.meta.transform!r}")
-        for i, v in enumerate(self.values):
-            if v is None:
-                continue
-            if not math.isfinite(v):
-                raise DataError(f"non-finite value at {format_month(self.month_at(i))}")
-            if self.meta.transform == LEVELS and v < 0:
-                raise DataError(
-                    f"negative level at {format_month(self.month_at(i))}: {v}"
-                )
+        bad = np.isinf(values)
+        if self.meta.transform == LEVELS:
+            bad |= values < 0
+        if bad.any():
+            i = int(bad.argmax())
+            where, v = format_month(self.month_at(i)), float(values[i])
+            if math.isinf(v):
+                raise DataError(f"non-finite value at {where}")
+            raise DataError(f"negative level at {where}: {v}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -83,9 +93,6 @@ class MonthlySeries:
             raise KeyError(f"{format_month(month)} outside series span")
         return i
 
-    def value_at(self, month: date) -> float | None:
-        return self.values[self.index_of(month)]
-
     def covers(self, start: date, end: date) -> bool:
         return (
             month_diff(start, self.start_month) >= 0
@@ -101,21 +108,18 @@ class MonthlySeries:
 
     def to_arrays(self, origin: date) -> tuple[np.ndarray, np.ndarray]:
         """Months relative to ``origin`` and values, missing entries dropped."""
-        t, y = [], []
-        offset = month_diff(self.start_month, origin)
-        for i, v in enumerate(self.values):
-            if v is not None:
-                t.append(offset + i)
-                y.append(v)
-        return np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+        present = ~np.isnan(self.values)
+        t = np.flatnonzero(present) + float(month_diff(self.start_month, origin))
+        return t, self.values[present]
 
 
 def read_series_csv(path, meta: SeriesMeta | None = None) -> MonthlySeries:
     """Read a two-column (month, value_usd_millions) delimited file.
 
-    Months must be consecutive; an empty value field marks a missing month.
+    Months must be consecutive; an empty value field marks a missing month,
+    and a non-finite value (``nan``, ``inf``) is an error.
     """
-    rows: list[tuple[date, float | None]] = []
+    values: list[float | None] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,31 +135,30 @@ def read_series_csv(path, meta: SeriesMeta | None = None) -> MonthlySeries:
             except ValueError as e:
                 raise DataError(f"{path}: line {lineno}: {e}") from e
             raw = row[1].strip()
-            if raw == "":
-                value: float | None = None
-            else:
+            value = None
+            if raw != "":
                 try:
                     value = float(raw)
                 except ValueError as e:
                     raise DataError(f"{path}: line {lineno}: bad value {raw!r}") from e
-            rows.append((month, value))
-    if not rows:
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: line {lineno}: non-finite value {raw!r}")
+            if not values:
+                start = month
+            elif month_diff(month, start) != len(values):
+                raise DataError(
+                    f"{path}: months must be consecutive, found {format_month(month)} "
+                    f"at position {len(values)}"
+                )
+            values.append(value)
+    if not values:
         raise DataError(f"{path}: no data rows")
-    start = rows[0][0]
-    values: list[float | None] = []
-    for k, (month, value) in enumerate(rows):
-        if month_diff(month, start) != k:
-            raise DataError(
-                f"{path}: months must be consecutive, found {format_month(month)} "
-                f"at position {k}"
-            )
-        values.append(value)
-    return MonthlySeries(start, tuple(values), meta or SeriesMeta())
+    return MonthlySeries(start, values, meta or SeriesMeta())
 
 
 def write_series_csv(series: MonthlySeries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["month", "value_usd_millions"])
-        for month, value in zip(series.months(), series.values):
-            writer.writerow([format_month(month), "" if value is None else repr(value)])
+        for month, value in zip(series.months(), series.values.tolist()):
+            writer.writerow([format_month(month), "" if math.isnan(value) else repr(value)])

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DataError, RecordParseError
-from .months import format_timestamp, month_index, month_range, parse_period, parse_timestamp
+from .months import as_utc, month_index, month_range, parse_period, parse_timestamp
 from .series import LEVELS, MonthlySeries, SeriesMeta
 
 RECORD_COLUMNS = (
@@ -71,9 +71,7 @@ class VintagePolicy:
     cutoff_instant: datetime
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cutoff_instant", parse_timestamp(format_timestamp(self.cutoff_instant))
-        )
+        object.__setattr__(self, "cutoff_instant", as_utc(self.cutoff_instant))
 
 
 @dataclass(frozen=True)
@@ -275,7 +273,7 @@ def aggregate_series(
         transform=LEVELS,
         label=label or category_set.name,
     )
-    return MonthlySeries(start, tuple(totals.tolist()), meta)
+    return MonthlySeries(start, totals, meta)
 
 
 def category_share(

@@ -65,10 +65,9 @@ class TrendBreakSpec:
     def window_end(self) -> date:
         return add_months(self.cutoff_month, self.post_window - 1)
 
-    def indicator(self, t: int) -> int:
-        if self.treat_cutoff_as_post:
-            return 1 if t >= 0 else 0
-        return 1 if t > 0 else 0
+    def indicator(self, t):
+        """D at months from the cutoff ``t``, a number or an array of them."""
+        return t >= 0 if self.treat_cutoff_as_post else t > 0
 
 
 @dataclass(frozen=True)
@@ -104,41 +103,29 @@ def log_transform(series: MonthlySeries) -> MonthlySeries:
     """
     if series.meta.transform == LOG:
         raise ValueError("series is already in logs")
-    values: list[float | None] = []
-    dropped = 0
-    for v in series.values:
-        if v is None:
-            values.append(None)
-        elif v > 0:
-            values.append(math.log(v))
-        else:
-            values.append(None)
-            dropped += 1
+    positive = series.values > 0
+    dropped = int(np.count_nonzero(series.values <= 0))  # a missing month is neither
+    values = np.full(len(series), np.nan)
+    # math.log per value: np.log may differ from it in the last bit
+    values[positive] = [math.log(v) for v in series.values[positive].tolist()]
     if dropped:
         warnings.warn(
             f"log transform dropped {dropped} nonpositive value(s) "
             f"in {series.meta.label or 'series'}"
         )
     meta = replace(series.meta, transform=LOG, n_nonpositive=dropped)
-    return MonthlySeries(series.start_month, tuple(values), meta)
+    return MonthlySeries(series.start_month, values, meta)
 
 
-def _window_rows(
-    series: MonthlySeries, spec: TrendBreakSpec
-) -> tuple[list[int], list[float]]:
+def _window_rows(series: MonthlySeries, spec: TrendBreakSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Months from the cutoff and values of the present months in the fit window."""
     if not series.covers(spec.window_start, spec.window_end):
         raise EstimationError(
             f"series spans {format_month(series.start_month)}.."
             f"{format_month(series.end_month)} but the fit window is "
             f"{format_month(spec.window_start)}..{format_month(spec.window_end)}"
         )
-    ts, ys = [], []
-    for t in range(-spec.pre_window, spec.post_window):
-        v = series.value_at(add_months(spec.cutoff_month, t))
-        if v is not None:
-            ts.append(t)
-            ys.append(v)
-    return ts, ys
+    return series.window(spec.window_start, spec.window_end).to_arrays(spec.cutoff_month)
 
 
 def _resolve_transform(series: MonthlySeries, spec: TrendBreakSpec) -> MonthlySeries:
@@ -157,19 +144,17 @@ def fit_trend_break(series: MonthlySeries, spec: TrendBreakSpec) -> TrendBreakFi
     (``spec.se_type='newey_west'`` switches to Bartlett-window HAC errors).
     """
     series = _resolve_transform(series, spec)
-    ts, ys = _window_rows(series, spec)
-    d = [spec.indicator(t) for t in ts]
-    n_post = sum(d)
+    t, y = _window_rows(series, spec)
+    d = spec.indicator(t).astype(float)
+    n_post = int(np.count_nonzero(d))
     n_pre = len(d) - n_post
     if n_pre < 2 or n_post < 2:
         raise EstimationError(
             f"need at least 2 non-missing observations per segment, "
             f"got {n_pre} pre and {n_post} post"
         )
-    t = np.asarray(ts, dtype=float)
-    dd = np.asarray(d, dtype=float)
-    X = np.column_stack([np.ones_like(t), dd, t, t * dd])
-    fit = fit_ols(X, np.asarray(ys), se_type=spec.se_type, hac_lags=spec.hac_lags)
+    X = np.column_stack([np.ones_like(t), d, t, t * d])
+    fit = fit_ols(X, y, se_type=spec.se_type, hac_lags=spec.hac_lags)
     return TrendBreakFit(
         alpha0=float(fit.coef[0]),
         alpha1=float(fit.coef[1]),
@@ -180,7 +165,7 @@ def fit_trend_break(series: MonthlySeries, spec: TrendBreakSpec) -> TrendBreakFi
         p_values=tuple(float(v) for v in fit.p_values),
         r_squared=float(fit.r_squared),
         residuals=tuple(float(r) for r in fit.residuals),
-        t_values=tuple(ts),
+        t_values=tuple(t.astype(int).tolist()),
         n_pre=n_pre,
         n_post=n_post,
         spec=spec,
@@ -203,18 +188,13 @@ def segment_trend(
     if side not in (PRE, POST):
         raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
     series = _resolve_transform(series, spec)
-    ts, ys = _window_rows(series, spec)
-    picked = [
-        (t, y)
-        for t, y in zip(ts, ys)
-        if (spec.indicator(t) == 1) == (side == POST)
-    ]
-    if len(picked) < 3:
+    t, y = _window_rows(series, spec)
+    picked = spec.indicator(t) == (side == POST)
+    t, y = t[picked], y[picked]
+    if len(t) < 3:
         raise EstimationError(
-            f"{side} side has {len(picked)} non-missing observations, need >= 3"
+            f"{side} side has {len(t)} non-missing observations, need >= 3"
         )
-    t = np.asarray([p[0] for p in picked], dtype=float)
-    y = np.asarray([p[1] for p in picked], dtype=float)
     X = np.column_stack([np.ones_like(t), t])
     fit = fit_ols(X, y, se_type=spec.se_type, hac_lags=spec.hac_lags)
     return SegmentTrend(
@@ -222,7 +202,7 @@ def segment_trend(
         slope=float(fit.coef[1]),
         se=float(fit.se[1]),
         t_stat=float(fit.t_stats[1]),
-        n=len(picked),
+        n=len(t),
     )
 
 

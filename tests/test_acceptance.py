@@ -80,7 +80,7 @@ def test_criterion_1_ols_oracle():
         t = np.asarray(fit.t_values, float)
         d = (t >= 0).astype(float)
         X = np.column_stack([np.ones_like(t), d, t, t * d])
-        y = np.asarray([v for v in s.values if v is not None])
+        y = s.values[~np.isnan(s.values)]
         xtx_inv = scipy.linalg.inv(X.T @ X)
         coef = xtx_inv @ X.T @ y
         resid = y - X @ coef

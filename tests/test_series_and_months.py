@@ -1,8 +1,13 @@
+import math
+import warnings
 from datetime import date, datetime, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from breaklens.errors import DataError
+from breaklens.errors import DataError, EstimationError
 from breaklens.months import (
     add_months,
     format_month,
@@ -13,7 +18,15 @@ from breaklens.months import (
     parse_period,
     parse_timestamp,
 )
+from breaklens.replication_audit import _overlap
 from breaklens.series import MonthlySeries, SeriesMeta, read_series_csv, write_series_csv
+from breaklens.trend_break import TrendBreakSpec, _window_rows, log_transform
+from util import (
+    reference_log_transform,
+    reference_overlap,
+    reference_to_arrays,
+    reference_window_rows,
+)
 
 
 class TestMonths:
@@ -52,8 +65,34 @@ class TestMonthlySeries:
     def test_consecutive_index(self):
         s = MonthlySeries(date(2019, 11, 1), (1.0, None, 3.0))
         assert s.end_month == date(2020, 1, 1)
-        assert s.value_at(date(2019, 12, 1)) is None
+        assert math.isnan(s.values[1])
         assert list(s.months())[-1] == date(2020, 1, 1)
+
+    def test_values_are_a_read_only_float64_copy(self):
+        source = np.array([1.0, 2.0])
+        s = MonthlySeries(date(2019, 1, 1), source)
+        assert s.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+        source[0] = 5.0
+        assert s.values[0] == 1.0
+
+    def test_none_and_nan_are_missing(self):
+        s = MonthlySeries(date(2019, 1, 1), [1, None, float("nan")])
+        assert s.values[0] == 1.0
+        assert np.isnan(s.values[1:]).all()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1.0, float("inf"), -1.0), "non-finite value at 2019-02"),
+            ((1.0, float("-inf")), "non-finite value at 2019-02"),
+            ((1.0, None, -0.5, float("inf")), "negative level at 2019-03: -0.5"),
+        ],
+    )
+    def test_first_bad_month_is_named(self, values, message):
+        with pytest.raises(DataError, match=message):
+            MonthlySeries(date(2019, 1, 1), values)
 
     def test_levels_must_be_nonnegative(self):
         with pytest.raises(DataError, match="negative level"):
@@ -66,7 +105,7 @@ class TestMonthlySeries:
     def test_window_slicing(self):
         s = MonthlySeries(date(2019, 1, 1), tuple(float(k) for k in range(12)))
         w = s.window(date(2019, 3, 1), date(2019, 5, 1))
-        assert w.values == (2.0, 3.0, 4.0)
+        assert w.values.tolist() == [2.0, 3.0, 4.0]
         assert w.start_month == date(2019, 3, 1)
 
     def test_to_arrays_drops_missing(self):
@@ -83,7 +122,14 @@ class TestSeriesCsv:
         write_series_csv(s, path)
         back = read_series_csv(path)
         assert back.start_month == s.start_month
-        assert back.values == s.values
+        assert np.array_equal(back.values, s.values, equal_nan=True)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_at_its_line(self, tmp_path, token):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"month,value\n2015-04,1.0\n2015-05,{token}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"nan.csv: line 3: non-finite value '{token}'"):
+            read_series_csv(path)
 
     def test_gap_in_months_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -98,3 +144,79 @@ class TestSeriesCsv:
         path.write_text("month,value\n201504,1.0\n201505,2.0\n", encoding="utf-8")
         s = read_series_csv(path)
         assert s.start_month == date(2015, 4, 1)
+
+
+def hexes(values) -> list:
+    """Each value's ``float.hex``, ``None`` for a missing one (None or NaN)."""
+    return [None if v is None or math.isnan(v) else float(v).hex() for v in values]
+
+
+FIRST = date(2015, 1, 1)
+MONTHS = st.integers(0, 30).map(lambda k: add_months(FIRST, k))
+LEVEL_VALUES = st.none() | st.just(0.0) | st.floats(1e-300, 1e12) | st.sampled_from([0.1, 3.3e6])
+LOG_VALUES = st.none() | st.just(0.0) | st.floats(-700.0, 30.0)
+
+
+@st.composite
+def monthly_series(draw, transform=None, min_size=1):
+    """A series with gaps and zeros; a log series also has negative values."""
+    transform = transform or draw(st.sampled_from(["levels", "log"]))
+    values = st.lists(LEVEL_VALUES if transform == "levels" else LOG_VALUES, min_size=min_size, max_size=40)
+    label = draw(st.sampled_from([None, "food"]))
+    return MonthlySeries(draw(MONTHS), draw(values), SeriesMeta(transform=transform, label=label))
+
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+class TestArrayFormMatchesReference:
+    """Slices and NaN masks give the month-by-month walks over ``float | None``
+    values (kept in ``tests/util.py``) bit for bit."""
+
+    @SETTINGS
+    @given(series=monthly_series(), origin=MONTHS)
+    def test_to_arrays(self, series, origin):
+        t, y = series.to_arrays(origin)
+        want_t, want_y = reference_to_arrays(series, origin)
+        assert (t.dtype, y.dtype) == (want_t.dtype, want_y.dtype) == (np.float64, np.float64)
+        assert hexes(t) == hexes(want_t)
+        assert hexes(y) == hexes(want_y)
+
+    @SETTINGS
+    @given(series=monthly_series(min_size=6), data=st.data(), as_post=st.booleans())
+    def test_window_rows(self, series, data, as_post):
+        pre, post = data.draw(st.integers(3, 12)), data.draw(st.integers(3, 12))
+        # the cutoff's position: the fit window fits, or leaves the series by a month
+        at = data.draw(st.integers(pre - 1, max(pre, len(series) - post + 1)))
+        spec = TrendBreakSpec(series.month_at(at), pre, post, series.meta.transform, as_post)
+        if not series.covers(spec.window_start, spec.window_end):
+            with pytest.raises(EstimationError, match="fit window"):
+                _window_rows(series, spec)
+            return
+        t, y = _window_rows(series, spec)
+        want_t, want_y = reference_window_rows(series, spec)
+        assert hexes(t) == hexes(want_t)
+        assert hexes(y) == hexes(want_y)
+
+    @SETTINGS
+    @given(a=monthly_series(), b=monthly_series(), origin=MONTHS)
+    def test_overlap(self, a, b, origin):
+        t, xa, xb = _overlap(a, b, origin)
+        months, want_a, want_b = reference_overlap(a, b)
+        assert t.tolist() == [month_diff(m, origin) for m in months]
+        assert hexes(xa) == hexes(want_a)
+        assert hexes(xb) == hexes(want_b)
+
+    @SETTINGS
+    @given(series=monthly_series("levels"))
+    def test_log_transform(self, series):
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = log_transform(series)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want, dropped = reference_log_transform(series)
+        assert hexes(got.values) == hexes(want)
+        assert got.meta.n_nonpositive == dropped
+        assert [str(w.message) for w in got_warnings] == [str(w.message) for w in want_warnings]
+        assert not got.values.flags.writeable

@@ -1,6 +1,7 @@
 import textwrap
+import time
 import warnings
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from breaklens.errors import DataError, RecordParseError
+from breaklens.months import format_timestamp, parse_timestamp
 from breaklens.trade_ingest import (
     ANOVA_FOOD,
     FULL_FOOD,
@@ -113,7 +115,30 @@ class TestParseRecords:
         assert again.tolist() == first.tolist()
 
 
+@pytest.fixture
+def caracas_host(monkeypatch):
+    """The process's local zone set to UTC-4, restored afterwards."""
+    monkeypatch.setenv("TZ", "America/Caracas")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
 class TestVintage:
+    def test_naive_cutoff_is_utc_whatever_the_host_zone(self, caracas_host):
+        policy = VintagePolicy(cutoff_instant=datetime(2020, 1, 1))
+        assert policy.cutoff_instant == ts(2020, 1) == parse_timestamp("2020-01-01T00:00:00")
+        assert format_timestamp(datetime(2020, 1, 1)) == "2020-01-01T00:00:00Z"
+
+    def test_cutoff_leaving_the_calendar_is_a_value_error(self):
+        # 00:00 at +01:00 on 0001-01-01 is in year 0 in UTC
+        edge = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+        with pytest.raises(ValueError, match="leaves years 1-9999"):
+            VintagePolicy(cutoff_instant=edge)
+        with pytest.raises(ValueError, match="leaves years 1-9999"):
+            format_timestamp(edge)
+
     def test_cutoff_after_everything_is_identity(self):
         records = records_of(*(record(submitted=ts(2019, m)) for m in (1, 5, 9)))
         policy = VintagePolicy(cutoff_instant=ts(2020, 1))
@@ -177,7 +202,7 @@ class TestAggregate:
 
     def test_single_record_in_millions(self):
         s = aggregate_series(records_of(record(value_usd=5_000_000)), ANOVA_FOOD, self.SPAN)
-        assert s.value_at(date(2017, 1, 1)) == pytest.approx(5.0)
+        assert s.values[0] == pytest.approx(5.0)
 
     def test_two_partners_add(self):
         records = records_of(
@@ -185,22 +210,22 @@ class TestAggregate:
             record(partner="USA", value_usd=4e6),
         )
         s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
-        assert s.value_at(date(2017, 1, 1)) == pytest.approx(7.0)
+        assert s.values[0] == pytest.approx(7.0)
 
     def test_empty_month_is_zero(self):
         s = aggregate_series(records_of(record()), ANOVA_FOOD, self.SPAN)
-        assert s.value_at(date(2017, 3, 1)) == 0.0
+        assert s.values[2] == 0.0
 
     def test_category_filter(self):
         records = records_of(record(hs2="02", value_usd=1e6), record(hs2="30", value_usd=9e6))
         s = aggregate_series(records, MEDICINES, self.SPAN)
-        assert s.value_at(date(2017, 1, 1)) == pytest.approx(9.0)
+        assert s.values[0] == pytest.approx(9.0)
 
     def test_duplicate_keys_sum_with_warning(self):
         records = records_of(record(value_usd=1e6), record(value_usd=2e6))
         with pytest.warns(UserWarning, match="duplicate"):
             s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
-        assert s.value_at(date(2017, 1, 1)) == pytest.approx(3.0)
+        assert s.values[0] == pytest.approx(3.0)
 
     def test_additivity_over_disjoint_sets(self):
         rng = np.random.default_rng(11)

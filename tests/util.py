@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import re
+import warnings
 from datetime import date, datetime, timezone
 
 import numpy as np
 
-from breaklens.months import month_range
+from breaklens.months import add_months, month_diff, month_range
 from breaklens.series import MonthlySeries, SeriesMeta
 from breaklens.trade_ingest import record_array
 
@@ -69,10 +71,76 @@ def reference_series(records, category_set, months, cutoff=None):
     return tuple(totals), duplicates
 
 
+# The month-by-month walks over a series of ``float | None`` that the array
+# form of ``MonthlySeries`` replaced, kept as references for it.
+
+
+def tuple_values(series) -> tuple:
+    """The values of ``series`` as a float or ``None`` per month."""
+    return tuple(None if math.isnan(v) else v for v in series.values.tolist())
+
+
+def reference_to_arrays(series, origin):
+    """``MonthlySeries.to_arrays``: months from ``origin`` and present values."""
+    t, y = [], []
+    offset = month_diff(series.start_month, origin)
+    for i, v in enumerate(tuple_values(series)):
+        if v is not None:
+            t.append(offset + i)
+            y.append(v)
+    return np.asarray(t, dtype=float), np.asarray(y, dtype=float)
+
+
+def reference_window_rows(series, spec):
+    """``trend_break._window_rows`` on a series that covers the fit window."""
+    values = tuple_values(series)
+    ts_, ys = [], []
+    for t in range(-spec.pre_window, spec.post_window):
+        v = values[month_diff(add_months(spec.cutoff_month, t), series.start_month)]
+        if v is not None:
+            ts_.append(t)
+            ys.append(v)
+    return ts_, ys
+
+
+def reference_overlap(a, b):
+    """``replication_audit._overlap``: the months where both series have a
+    value, and the two values."""
+    va, vb = tuple_values(a), tuple_values(b)
+    start = max(a.start_month, b.start_month)
+    end = min(a.end_month, b.end_month)
+    months, xa, xb = [], [], []
+    if month_diff(end, start) >= 0:
+        ia, ib = month_diff(start, a.start_month), month_diff(start, b.start_month)
+        for k in range(month_diff(end, start) + 1):
+            if va[ia + k] is not None and vb[ib + k] is not None:
+                months.append(add_months(start, k))
+                xa.append(va[ia + k])
+                xb.append(vb[ib + k])
+    return months, xa, xb
+
+
+def reference_log_transform(series):
+    """``trend_break.log_transform``'s values and dropped count, with its warning."""
+    values, dropped = [], 0
+    for v in tuple_values(series):
+        if v is None:
+            values.append(None)
+        elif v > 0:
+            values.append(math.log(v))
+        else:
+            values.append(None)
+            dropped += 1
+    if dropped:
+        warnings.warn(
+            f"log transform dropped {dropped} nonpositive value(s) "
+            f"in {series.meta.label or 'series'}"
+        )
+    return tuple(values), dropped
+
+
 def series_from_fn(fn, start=WINDOW_START, cutoff=CUTOFF, n=57, transform="levels", **meta):
     """Series whose value at month k is fn(t) with t = months from the cutoff."""
-    from breaklens.months import month_diff
-
     offset = month_diff(start, cutoff)
     values = tuple(fn(offset + k) for k in range(n))
     return MonthlySeries(start, values, SeriesMeta(transform=transform, **meta))
