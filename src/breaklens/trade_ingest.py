@@ -175,6 +175,25 @@ def _keys(columns: list[np.ndarray]) -> np.ndarray:
     return key
 
 
+_DTYPES = [dtype for _, dtype in RECORD_FIELDS[:-1]]
+
+
+def _columns(rows) -> list[np.ndarray]:
+    """The columns, all but ``key``, of rows in the form :func:`record_array` takes."""
+    return [np.array(column, dtype) for column, dtype in zip(zip(*rows), _DTYPES)]
+
+
+def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
+    """The record array of the concatenated column chunks, with its
+    ``key``. Empties ``chunks``, so that they are freed before the key is
+    computed."""
+    empty = [np.array([], dtype) for dtype in _DTYPES]  # so that no chunks make empty columns
+    columns = [np.concatenate(parts) for parts in zip(empty, *chunks)]
+    del chunks[:]
+    columns.append(_keys(columns))
+    return np.rec.fromarrays(columns, names=[name for name, _ in RECORD_FIELDS])
+
+
 def record_array(rows) -> np.recarray:
     """The record array of ``rows``, in their order.
 
@@ -186,33 +205,144 @@ def record_array(rows) -> np.recarray:
     naive ``datetime``). Rows are not checked; :func:`parse_records`
     validates them first. The fields are listed in :data:`RECORD_FIELDS`.
     """
-    dtypes = [dtype for _, dtype in RECORD_FIELDS[:-1]]
     rows = iter(rows)
-    chunks = [[np.array([], dtype) for dtype in dtypes]]  # so that no rows make empty columns
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        chunks.append([np.array(col, dtype) for col, dtype in zip(zip(*chunk), dtypes)])
-    columns = [np.concatenate(parts) for parts in zip(*chunks)]
-    del chunks
-    columns.append(_keys(columns))
-    return np.rec.fromarrays(columns, names=[name for name, _ in RECORD_FIELDS])
+    chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
+    return _assemble([_columns(chunk) for chunk in chunks])
+
+
+_FIRST_INSTANT = np.datetime64("0001-01-01T00:00:00", "s")
+
+
+def _ascii_digits(column: np.ndarray, width: int) -> np.ndarray | None:
+    """The digit values, one row per string, when every string is exactly
+    ``width`` ASCII digits; otherwise ``None``."""
+    if (np.char.str_len(column) != width).any():
+        return None
+    # one code point per character; one below '0' wraps round to a large value
+    digits = column.astype(f"<U{width}").view(np.uint32).reshape(-1, width) - ord("0")
+    return digits.astype(np.int64) if (digits < 10).all() else None
+
+
+def _canonical_instants(column: np.ndarray) -> np.ndarray | None:
+    """The instants of ``YYYY-MM-DDTHH:MM:SSZ`` strings in years 1-9999, or
+    ``None`` if any string is in another form. A string counts only if numpy
+    writes its instant back as the same text."""
+    if (np.char.str_len(column) != 20).any() or not np.char.endswith(column, "Z").all():
+        return None
+    text = column.astype("<U19")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns of a time zone, which canonical text lacks
+            instants = text.astype("datetime64[s]")
+    except (ValueError, UserWarning):
+        return None
+    if (np.datetime_as_string(instants) != text).any() or (instants < _FIRST_INSTANT).any():
+        return None
+    return instants
+
+
+def _canonical_columns(rows: list[list[str]], index: list[int]) -> list[np.ndarray] | None:
+    """The columns of ``rows`` (the record columns at ``index`` in each row)
+    when every row is canonical; ``None`` as soon as one is not.
+
+    Canonical rows take the checks of :func:`_parse_row` as whole columns:
+    a period of six ASCII digits, reporter and partner codes without
+    surrounding whitespace, two ASCII hs2 digits, a finite nonnegative
+    value, and ``YYYY-MM-DDTHH:MM:SSZ`` timestamps in order. Whatever passes
+    converts exactly as :func:`_parse_row` converts it.
+    """
+    fields = list(zip(*rows))
+    if len(fields) <= max(index):
+        return None  # a row too short to hold every record column
+    columns = [np.array(fields[i]) for i in index]
+    # numpy strings drop trailing NULs, which the row-wise checks see
+    if any(np.char.str_len(c).sum() != sum(map(len, fields[i])) for c, i in zip(columns, index)):
+        return None
+    period, reporter, partner, hs2, value, first, last = columns
+
+    digits = _ascii_digits(period, 6)
+    if digits is None:
+        return None
+    year = digits[:, :4] @ [1000, 100, 10, 1]
+    month = digits[:, 4:] @ [10, 1]
+    if (year < 1).any() or (month < 1).any() or (month > 12).any():
+        return None
+    for code in (reporter, partner):
+        if (np.char.str_len(code) == 0).any() or (np.char.strip(code) != code).any():
+            return None
+    if _ascii_digits(hs2, 2) is None or (hs2 == "00").any():
+        return None
+    try:
+        value = value.astype(np.float64)
+    except ValueError:
+        return None
+    if not (np.isfinite(value) & (value >= 0)).all():
+        return None
+    first, last = _canonical_instants(first), _canonical_instants(last)
+    if first is None or last is None or (first > last).any():
+        return None
+    months = (year * 12 + month - 1 - _EPOCH_MONTH).astype("datetime64[M]")
+    return [months, reporter, partner, hs2, value, first, last]
+
+
+def _csv_rows(path, fh):
+    """The rows of the open CSV file ``fh``; a malformed or undecodable file
+    ends in a :class:`DataError` naming ``path`` and the line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8: {e.reason}") from e
+
+
+def _undecodable_line(path) -> int:
+    """The first line of ``path`` that is not valid UTF-8, counted as the
+    CSV reader counts lines."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # an undecodable byte became a lone surrogate
+                return lineno
+    raise DataError(f"{path}: changed while being read")
 
 
 def parse_records(path) -> np.recarray:
     """Parse a comma-separated trade-records file into a record array.
 
-    Expects a header row with the columns in :data:`RECORD_COLUMNS`. Rows are
-    validated one by one; the first malformed row aborts with an error naming
-    the data row number (1-based) and the offending field. Row order is
-    preserved.
+    Expects a header row with the columns in :data:`RECORD_COLUMNS`, each
+    once; other columns are ignored, and so are blank lines. Rows are
+    validated a chunk at a time as whole columns; a chunk with any row in
+    another form than the canonical one (see :func:`_canonical_columns`) is
+    validated row by row, and the first malformed row aborts with an error
+    naming the data row number (1-based) and the offending field. Row order
+    is preserved.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        rows = _csv_rows(path, fh)
+        header = next(rows, None)
+        if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
-        missing = [c for c in RECORD_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in RECORD_COLUMNS if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        return record_array(_parse_row(n, row) for n, row in enumerate(reader, start=1))
+        duplicates = [c for c in RECORD_COLUMNS if header.count(c) > 1]
+        if duplicates:
+            raise DataError(f"{path}: duplicate columns: {', '.join(duplicates)}")
+        index = [header.index(c) for c in RECORD_COLUMNS]
+        rows = filter(None, rows)  # a blank line reads as [] and is no data row
+        chunks, done = [], 0
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            columns = _canonical_columns(chunk, index)
+            if columns is None:
+                numbered = enumerate(chunk, start=done + 1)
+                columns = _columns(_parse_row(n, dict(zip(header, row))) for n, row in numbered)
+            chunks.append(columns)
+            done += len(chunk)
+            del chunk  # before the next chunk is read, so that two are never held
+    return _assemble(chunks)
 
 
 def serialize_records(records: np.recarray, path) -> None:

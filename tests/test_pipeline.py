@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -246,6 +247,38 @@ class TestFigureData:
                 assert float(row[3]) == pytest.approx(12 + 0.2 * t, abs=1e-8)
 
 
+def _records_argv(command, data, fixtures_dir, tmp_path):
+    """CLI arguments that make ``command`` read the records file ``data``."""
+    if command == "ingest":
+        out = tmp_path / "series.csv"
+        return ["ingest", "--data", str(data), "--series", "medicines", "--out", str(out)]
+    raw = json.loads((fixtures_dir / "demo_config.json").read_text())
+    raw["data_file"] = str(data)
+    raw["audits"][0]["target_file"] = str(fixtures_dir / raw["audits"][0]["target_file"])
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
+
+
+_HEADER = b"period,reporter_code,partner_code,hs2_code,value_usd,first_submitted_at,last_updated_at"
+_ROW = b"201504,VEN,DEU,02,1,2015-01-01T00:00:00Z,2015-01-01T00:00:00Z"
+
+#: Records files the CSV reader cannot read, and the error after the path.
+BAD_RECORD_FILES = {
+    "undecodable": (
+        b"\n".join([_HEADER, _ROW, _ROW.replace(b"VEN", b"V\xff\xfeN"), _ROW, b""]),
+        "line 3: not UTF-8: invalid start byte",
+    ),
+    "oversized field": (
+        b"\n".join([_HEADER, _ROW, _ROW.replace(b"DEU", b'"' + b"x" * 200_000 + b'"'), b""]),
+        f"line 3: field larger than field limit ({csv.field_size_limit()})",
+    ),
+    "duplicate column": (  # named before any row is read, the bad one included
+        b"\n".join([_HEADER + b",value_usd", _ROW + b",7", b"not,a,row", b""]),
+        "duplicate columns: value_usd",
+    ),
+}
+
+
 class TestCli:
     def test_run_exit_zero(self, fixtures_dir_module, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -347,19 +380,23 @@ class TestCli:
             "201504,VEN,USA,02,1,0001-01-01T00:00:00+01:00,2015-01-01T00:00:00Z\n",
             encoding="utf-8",
         )
-        if command == "ingest":
-            argv = ["ingest", "--data", str(data), "--series", "medicines"]
-            argv += ["--out", str(tmp_path / "series.csv")]
-        else:
-            raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
-            raw["data_file"] = str(data)
-            raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
-            (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
-            argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]
-        assert main(argv) == 2
+        assert main(_records_argv(command, data, fixtures_dir_module, tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "row 2, field 'first_submitted_at': timestamp leaves years 1-9999" in err
+
+    @pytest.mark.parametrize("command", ["ingest", "run"])
+    @pytest.mark.parametrize("case", sorted(BAD_RECORD_FILES))
+    def test_unreadable_records_file_is_a_data_error(
+        self, case, command, fixtures_dir_module, tmp_path, capsys
+    ):
+        body, message = BAD_RECORD_FILES[case]
+        data = tmp_path / "records.csv"
+        data.write_bytes(body)
+        assert main(_records_argv(command, data, fixtures_dir_module, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{data}: {message}\n" in err
 
     @pytest.mark.parametrize(
         "vintage, code, message",

@@ -1,3 +1,7 @@
+import csv
+import io
+import subprocess
+import sys
 import textwrap
 import time
 import warnings
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from breaklens.errors import DataError, RecordParseError
+from breaklens import trade_ingest
 from breaklens.months import format_timestamp, parse_timestamp
 from breaklens.trade_ingest import (
     ANOVA_FOOD,
@@ -23,7 +28,15 @@ from breaklens.trade_ingest import (
     record_array,
     serialize_records,
 )
-from util import record, records_of, reference_series, ts
+from conftest import FIXTURES, REPO_ROOT
+from util import (
+    record,
+    records_of,
+    reference_parse_records,
+    reference_rows,
+    reference_series,
+    ts,
+)
 
 HEADER = "period,reporter_code,partner_code,hs2_code,value_usd,first_submitted_at,last_updated_at\n"
 
@@ -348,3 +361,176 @@ class TestAggregateMatchesReference:
             "while aggregating 'drawn'"
         ]
         assert [str(w.message) for w in caught] == (expected if duplicates else [])
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _past_the_hour(v):
+    return v[:11] + "24" + v[13:]
+
+
+#: One field of a canonical row and what is done to it. Some make a row
+#: that the row-wise parse accepts in another form, the rest a bad row.
+MUTATIONS = (
+    ("reporter_code", lambda v: f" {v}"),
+    ("partner_code", lambda v: f"{v}\t"),
+    ("partner_code", lambda v: "  "),
+    ("period", lambda v: f" {v} "),
+    ("hs2_code", lambda v: f"{v} "),
+    ("value_usd", lambda v: f" {v} "),
+    ("first_submitted_at", lambda v: f"{v} "),
+    ("last_updated_at", lambda v: f" {v}"),
+    ("first_submitted_at", lambda v: v[:-1] + "z"),
+    ("first_submitted_at", lambda v: v[:-1] + "+01:00"),
+    ("last_updated_at", lambda v: v[:-1] + "+01:00"),
+    ("first_submitted_at", lambda v: v[:-1] + ".250Z"),
+    ("last_updated_at", lambda v: v[:-1] + ".999999Z"),
+    ("first_submitted_at", lambda v: v[:10]),
+    ("first_submitted_at", lambda v: v[:10] + "Z"),
+    ("period", lambda v: "000001"),
+    ("period", lambda v: "201213"),
+    ("first_submitted_at", lambda v: "2012-02-30T00:00:00Z"),
+    ("first_submitted_at", _past_the_hour),
+    ("first_submitted_at", lambda v: "0000-01-01T00:00:00Z"),
+    ("first_submitted_at", lambda v: "+" + v[1:]),  # a signed year, read by numpy alone
+    ("period", lambda v: v.translate(ARABIC_INDIC)),
+    ("hs2_code", lambda v: v.translate(ARABIC_INDIC)),
+    ("value_usd", lambda v: v.translate(ARABIC_INDIC)),
+    ("last_updated_at", lambda v: v.translate(ARABIC_INDIC)),
+    ("value_usd", lambda v: "1_000"),
+    ("value_usd", lambda v: "nan"),
+    ("value_usd", lambda v: "inf"),
+    ("value_usd", lambda v: "1e400"),
+    ("value_usd", lambda v: "-0"),
+    ("value_usd", lambda v: "-5"),
+    ("value_usd", lambda v: v + "\x00"),
+    ("hs2_code", lambda v: v + "\x00"),
+    ("first_submitted_at", lambda v: "9999-12-31T23:59:59Z"),
+    ("hs2_code", lambda v: "00"),
+    ("hs2_code", lambda v: "7"),
+)
+
+#: Data rows in a file whose mutated rows all sit in its first chunk.
+SHORT_ROWS = 40
+
+
+@pytest.fixture(scope="module")
+def canonical(tmp_path_factory):
+    """The header and 9 partner-suffixed copies of the demo fixture's rows
+    (more than one parse chunk); the first chunk of them as CSV text, and
+    its row-wise parse."""
+    with open(FIXTURES / "demo_records.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [[*r[:2], f"{r[2]}{j}", *r[3:]] for j in range(9) for r in rows]
+    first_chunk = _csv_text(rows[: trade_ingest._CHUNK_ROWS])
+    path = tmp_path_factory.mktemp("canonical") / "first_chunk.csv"
+    path.write_text(_csv_text([header]) + first_chunk, encoding="utf-8", newline="")
+    return header, rows, first_chunk, reference_rows(path)
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
+def _outcome(parse, path):
+    """``parse(path)``'s dtype and bytes, or its row error."""
+    try:
+        records = parse(path)
+    except RecordParseError as e:
+        return ("error", e.row, e.field, str(e))
+    return ("records", records.dtype, records.tobytes())
+
+
+class TestParseMatchesRowWise:
+    """The vectorized parse gives what ``_parse_row`` row by row gives:
+    the same record array to the byte, or the same row error."""
+
+    SETTINGS = dict(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    @settings(max_examples=200, **SETTINGS)
+    @given(position=st.integers(0, SHORT_ROWS - 1), mutation=st.sampled_from(MUTATIONS))
+    def test_mutated_row_in_the_first_chunk(self, canonical, tmp_path_factory, position, mutation):
+        self.check(canonical, tmp_path_factory.mktemp("mutated"), position, mutation, False)
+
+    # fewer examples: each parses a whole canonical chunk before the mutated row
+    @settings(max_examples=10, **SETTINGS)
+    @given(position=st.integers(0, SHORT_ROWS - 1), mutation=st.sampled_from(MUTATIONS))
+    def test_mutated_row_past_the_first_chunk(self, canonical, tmp_path_factory, position, mutation):
+        self.check(canonical, tmp_path_factory.mktemp("mutated"), position, mutation, True)
+
+    @staticmethod
+    def check(canonical, work, position, mutation, past_first_chunk):
+        header, rows, first_chunk, first_chunk_parsed = canonical
+        rows = [list(r) for r in rows[:SHORT_ROWS]]
+        field, mutate = mutation
+        rows[position][header.index(field)] = mutate(rows[position][header.index(field)])
+        path, rest = work / "records.csv", work / "rest.csv"
+        rest.write_text(_csv_text([header, *rows]), encoding="utf-8", newline="")
+        if past_first_chunk:
+            # the first chunk is canonical, so only the rest is parsed row by row here
+            skip = trade_ingest._CHUNK_ROWS
+            text = _csv_text([header]) + first_chunk + _csv_text(rows)
+            path.write_text(text, encoding="utf-8", newline="")
+
+            def reference(_):
+                return record_array(first_chunk_parsed + reference_rows(rest, first_row=skip + 1))
+
+        else:
+            path = rest
+            reference = reference_parse_records
+        assert _outcome(parse_records, path) == _outcome(reference, path)
+
+    LAYOUTS = {
+        "blank lines": "{h}\r\n\r\n{a}\n\n{b}\n\n",
+        "crlf": "{h}\r\n{a}\r\n{b}\r\n",
+        "quoted fields": '{h}\n"201504","VEN","DEU","02","5e6","2015-08-03T10:15:00Z",'
+        '"2015-09-01T00:00:00Z"\n{b}\n',
+        "reordered and extra columns": "note,last_updated_at,value_usd,first_submitted_at,"
+        "hs2_code,partner_code,reporter_code,period\n"
+        '"a, b",2015-09-01T00:00:00Z,5e6,2015-08-03T10:15:00Z,02,DEU,VEN,201504\n'
+        ",2016-01-01T00:00:00Z,1250000.5,2015-09-10T00:00:00Z,30,USA,VEN,201504,extra\n",
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_csv_layouts(self, tmp_path, layout):
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            self.LAYOUTS[layout]
+            .format(
+                h=HEADER.rstrip("\n"),
+                a="201504,VEN,DEU,02,5e6,2015-08-03T10:15:00Z,2015-09-01T00:00:00Z",
+                b="201504,VEN,USA,30,1250000.5,2015-09-10T00:00:00Z,2016-01-01T00:00:00Z",
+            )
+            .encode("utf-8")
+        )
+        got, want = parse_records(path), reference_parse_records(path)
+        assert len(got) == 2
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_canonical_files_never_take_the_row_wise_path(self, tmp_path, monkeypatch, scale):
+        """The demo fixture and a x3 benchmark set parse as whole columns:
+        falling back to the row-wise parse is a silent slowdown."""
+        path = FIXTURES / "demo_records.csv"
+        if scale > 1:
+            path = tmp_path / "scaled.csv"
+            script = REPO_ROOT / "bench" / "make_scaled.py"
+            argv = ["--k", str(scale), "--seed", "1", "--out", str(path)]
+            subprocess.run([sys.executable, str(script), *argv], check=True, capture_output=True)
+        want = reference_parse_records(path)
+
+        def refuse(*args):
+            raise AssertionError("a canonical row took the row-wise parse")
+
+        monkeypatch.setattr(trade_ingest, "_parse_row", refuse)
+        got = parse_records(path)
+        assert len(got) == 1944 * scale
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())

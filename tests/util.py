@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 import warnings
@@ -11,7 +12,7 @@ import numpy as np
 
 from breaklens.months import add_months, month_diff, month_range
 from breaklens.series import MonthlySeries, SeriesMeta
-from breaklens.trade_ingest import record_array
+from breaklens.trade_ingest import _parse_row, record_array
 
 CUTOFF = date(2017, 8, 1)
 WINDOW_START = date(2015, 4, 1)
@@ -40,6 +41,19 @@ def record(
 def records_of(*rows) -> np.recarray:
     """The record array of ``record(...)`` rows."""
     return record_array(rows)
+
+
+def reference_rows(path, first_row=1) -> list[tuple]:
+    """``_parse_row`` on every row ``csv.DictReader`` reads from ``path``,
+    numbered from ``first_row``: the row-wise parse that ``parse_records``
+    keeps as its slow path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [_parse_row(n, row) for n, row in enumerate(csv.DictReader(fh), start=first_row)]
+
+
+def reference_parse_records(path) -> np.recarray:
+    """``parse_records`` of a file with a valid header, row by row."""
+    return record_array(reference_rows(path))
 
 
 def reference_series(records, category_set, months, cutoff=None):
