@@ -37,8 +37,8 @@ def month_range(start: date, end: date) -> list[date]:
     return [index_month(i) for i in range(month_index(start), month_index(end) + 1)]
 
 
-_PERIOD_RE = re.compile(r"^(\d{4})(\d{2})$")
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_PERIOD_RE = re.compile(r"^([0-9]{4})([0-9]{2})$")
+_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})$")
 
 
 def parse_period(s: str) -> date:

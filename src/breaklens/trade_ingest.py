@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import islice
+from itertools import chain, groupby, islice
 
 import numpy as np
 
@@ -56,7 +56,7 @@ _CHUNK_ROWS = 1 << 14
 
 
 def _valid_hs2(code: str) -> bool:
-    return len(code) == 2 and code.isdigit() and code != "00"
+    return len(code) == 2 and code.isascii() and code.isdigit() and code != "00"
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,8 @@ def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
 
     raw_value = (row.get("value_usd") or "").strip()
     try:
+        if not raw_value.isascii() or "_" in raw_value:
+            raise ValueError  # float() reads other scripts' digits and underscores too
         value = float(raw_value)
     except ValueError:
         fail("value_usd", f"not a number: {raw_value!r}")
@@ -184,14 +186,21 @@ def _columns(rows) -> list[np.ndarray]:
 
 
 def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
-    """The record array of the concatenated column chunks, with its
-    ``key``. Empties ``chunks``, so that they are freed before the key is
-    computed."""
-    empty = [np.array([], dtype) for dtype in _DTYPES]  # so that no chunks make empty columns
-    columns = [np.concatenate(parts) for parts in zip(empty, *chunks)]
-    del chunks[:]
-    columns.append(_keys(columns))
-    return np.rec.fromarrays(columns, names=[name for name, _ in RECORD_FIELDS])
+    """The record array of the column chunks, in order, with its ``key``. Takes
+    each chunk out of ``chunks`` as it is copied in, never holding all at once."""
+    names = [name for name, _ in RECORD_FIELDS]
+    empty = [np.array([], dtype) for dtype in _DTYPES]
+    # a string field is as wide as its widest chunk, and one character wide with no chunks
+    dtypes = [np.concatenate([c[:0] for c in parts]).dtype for parts in zip(empty, *chunks)]
+    records = np.recarray(sum(len(c[0]) for c in chunks), [*zip(names, dtypes), RECORD_FIELDS[-1]])
+    filled = 0
+    while chunks:
+        columns = chunks.pop(0)
+        for name, column in zip(names, columns):
+            records[name][filled : filled + len(column)] = column
+        filled += len(columns[0])
+    records["key"] = _keys([records[name] for name in names[:4]])
+    return records
 
 
 def record_array(rows) -> np.recarray:
@@ -210,91 +219,110 @@ def record_array(rows) -> np.recarray:
     return _assemble([_columns(chunk) for chunk in chunks])
 
 
-_FIRST_INSTANT = np.datetime64("0001-01-01T00:00:00", "s")
+class _NotCanonical(Exception):
+    """A chunk holds a row in another form than the canonical one."""
 
 
-def _ascii_digits(column: np.ndarray, width: int) -> np.ndarray | None:
-    """The digit values, one row per string, when every string is exactly
-    ``width`` ASCII digits; otherwise ``None``."""
-    if (np.char.str_len(column) != width).any():
-        return None
-    # one code point per character; one below '0' wraps round to a large value
-    digits = column.astype(f"<U{width}").view(np.uint32).reshape(-1, width) - ord("0")
-    return digits.astype(np.int64) if (digits < 10).all() else None
+def _require(condition) -> None:
+    if not condition:
+        raise _NotCanonical
 
 
-def _canonical_instants(column: np.ndarray) -> np.ndarray | None:
-    """The instants of ``YYYY-MM-DDTHH:MM:SSZ`` strings in years 1-9999, or
-    ``None`` if any string is in another form. A string counts only if numpy
-    writes its instant back as the same text."""
-    if (np.char.str_len(column) != 20).any() or not np.char.endswith(column, "Z").all():
-        return None
-    text = column.astype("<U19")
+#: ASCII bytes that ``str.strip`` removes.
+_SPACE = np.array([chr(b).isspace() for b in range(128)])
+#: Bytes of a canonical ``value_usd``, and the zero that pads a gathered field.
+_NUMBER = np.isin(np.arange(128), list(b"\x000123456789.eE+-"))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _strings(buf: np.ndarray, span, kind: str) -> np.ndarray:
+    """The fields of ``span`` as zero-padded numpy strings of ``kind`` "S" or "U"."""
+    start, stop = span
+    length = stop - start
+    width = max(int(length.max()), 1)
+    if start.max() + width > len(buf):
+        buf = np.concatenate([buf, np.zeros(width, np.uint8)])
+    text = np.lib.stride_tricks.sliding_window_view(buf, width)[start]
+    text[np.arange(width) >= length[:, None]] = 0
+    # an ASCII byte is its own code point, and widening is far faster than decoding
+    return text.astype(np.uint32 if kind == "U" else np.uint8).view(f"{kind}{width}").ravel()
+
+
+def _numbers(buf: np.ndarray, span, form: str) -> list[np.ndarray]:
+    """The numbers in fields of exactly ``form``, where a run of one lowercase
+    letter is that many ASCII digits and any other character itself; one per run."""
+    start, stop = span
+    _require((stop - start == len(form)).all())
+    text = np.lib.stride_tricks.sliding_window_view(buf, len(form))[start]
+    digit = np.array([c.islower() for c in form])
+    _require((text[:, ~digit] == np.frombuffer(form.encode(), np.uint8)[~digit]).all())
+    digits = text[:, digit] - np.uint8(ord("0"))  # a byte below '0' wraps round to a large value
+    _require((digits < 10).all())
+    runs = [len(list(run)) for _, run in groupby(c for c in form if c.islower())]
+    groups = np.split(digits.astype(np.int64), np.cumsum(runs)[:-1], axis=1)
+    return [group @ 10 ** np.arange(group.shape[1] - 1, -1, -1) for group in groups]
+
+
+def _instants(buf: np.ndarray, span) -> np.ndarray:
+    """The instants of ``YYYY-MM-DDTHH:MM:SSZ`` fields that name a time of
+    the Gregorian calendar in years 1-9999, converted by days from civil
+    (H. Hinnant, http://howardhinnant.github.io/date_algorithms.html)."""
+    year, month, day, hour, minute, second = _numbers(buf, span, "yyyy-mm-ddThh:mm:ssZ")
+    _require(((year >= 1) & (month >= 1) & (month <= 12)).all())
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
+    _require(((day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)).all())
+    era, year_of_era = np.divmod(year - (month <= 2), 400)  # years from March, leap day last
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    days = era * 146097 + day_of_era - 719468
+    return (days * 86400 + hour * 3600 + minute * 60 + second).astype("datetime64[s]")
+
+
+def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.ndarray]:
+    """The columns of the CSV lines ``text`` if each is blank or a canonical
+    row; otherwise :class:`_NotCanonical`. A canonical row is unquoted ASCII
+    without NUL, ends in LF or CRLF, has ``n_columns`` fields, and holds the
+    record columns (at ``index``) as :func:`_parse_row` accepts them without
+    stripping or reformatting: ``YYYYMM``, codes without surrounding
+    whitespace, two hs2 digits, a finite nonnegative number in ``0-9.eE+-``
+    and ``YYYY-MM-DDTHH:MM:SSZ`` timestamps in order. Each converts exactly
+    as :func:`_parse_row` converts it."""
+    _require(text.isascii() and '"' not in text and "\0" not in text)
+    buf = np.frombuffer(text.encode("ascii") + b"\n" * (not text.endswith("\n")), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    _require((buf[np.flatnonzero(buf == ord("\r")) + 1] == ord("\n")).all())
+    # csv.reader refuses a field over its limit; a line under it holds none
+    _require(np.diff(ends, prepend=-1).max() <= csv.field_size_limit())
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    ends -= buf[ends - 1] == ord("\r")
+    commas = np.flatnonzero(buf == ord(","))
+    rows = starts < ends  # a blank line is no data row
+    commas_per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    _require(rows.any() and (commas_per_line[rows] == n_columns - 1).all())
+    # field j of a row runs from bounds[:, j] + 1 to bounds[:, j + 1]
+    bounds = np.column_stack([starts[rows] - 1, commas.reshape(-1, n_columns - 1), ends[rows]])
+    spans = [(bounds[:, j] + 1, bounds[:, j + 1]) for j in index]
+    period, reporter, partner, hs2, value, first, last = spans
+
+    year, month = _numbers(buf, period, "yyyymm")
+    _require(((year >= 1) & (month >= 1) & (month <= 12)).all())
+    for start, stop in (reporter, partner):
+        _require((stop > start).all() and not (_SPACE[buf[start]] | _SPACE[buf[stop - 1]]).any())
+    _require((_numbers(buf, hs2, "hh")[0] > 0).all())
+    value = _strings(buf, value, "S")
+    _require(_NUMBER[value.view(np.uint8)].all())
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # numpy warns of a time zone, which canonical text lacks
-            instants = text.astype("datetime64[s]")
-    except (ValueError, UserWarning):
-        return None
-    if (np.datetime_as_string(instants) != text).any() or (instants < _FIRST_INSTANT).any():
-        return None
-    return instants
-
-
-def _canonical_columns(rows: list[list[str]], index: list[int]) -> list[np.ndarray] | None:
-    """The columns of ``rows`` (the record columns at ``index`` in each row)
-    when every row is canonical; ``None`` as soon as one is not.
-
-    Canonical rows take the checks of :func:`_parse_row` as whole columns:
-    a period of six ASCII digits, reporter and partner codes without
-    surrounding whitespace, two ASCII hs2 digits, a finite nonnegative
-    value, and ``YYYY-MM-DDTHH:MM:SSZ`` timestamps in order. Whatever passes
-    converts exactly as :func:`_parse_row` converts it.
-    """
-    fields = list(zip(*rows))
-    if len(fields) <= max(index):
-        return None  # a row too short to hold every record column
-    columns = [np.array(fields[i]) for i in index]
-    # numpy strings drop trailing NULs, which the row-wise checks see
-    if any(np.char.str_len(c).sum() != sum(map(len, fields[i])) for c, i in zip(columns, index)):
-        return None
-    period, reporter, partner, hs2, value, first, last = columns
-
-    digits = _ascii_digits(period, 6)
-    if digits is None:
-        return None
-    year = digits[:, :4] @ [1000, 100, 10, 1]
-    month = digits[:, 4:] @ [10, 1]
-    if (year < 1).any() or (month < 1).any() or (month > 12).any():
-        return None
-    for code in (reporter, partner):
-        if (np.char.str_len(code) == 0).any() or (np.char.strip(code) != code).any():
-            return None
-    if _ascii_digits(hs2, 2) is None or (hs2 == "00").any():
-        return None
-    try:
-        value = value.astype(np.float64)
+        with np.errstate(over="ignore"):  # a value past the float range reads as inf
+            value = value.astype(np.float64)
     except ValueError:
-        return None
-    if not (np.isfinite(value) & (value >= 0)).all():
-        return None
-    first, last = _canonical_instants(first), _canonical_instants(last)
-    if first is None or last is None or (first > last).any():
-        return None
+        raise _NotCanonical from None
+    _require((np.isfinite(value) & (value >= 0)).all())
+    first, last = _instants(buf, first), _instants(buf, last)
+    _require((first <= last).all())
     months = (year * 12 + month - 1 - _EPOCH_MONTH).astype("datetime64[M]")
-    return [months, reporter, partner, hs2, value, first, last]
-
-
-def _csv_rows(path, fh):
-    """The rows of the open CSV file ``fh``; a malformed or undecodable file
-    ends in a :class:`DataError` naming ``path`` and the line."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except csv.Error as e:
-        raise DataError(f"{path}: line {reader.line_num}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8: {e.reason}") from e
+    codes = [_strings(buf, span, "U") for span in (reporter, partner, hs2)]
+    return [months, *codes, value, first, last]
 
 
 def _undecodable_line(path) -> int:
@@ -313,35 +341,46 @@ def parse_records(path) -> np.recarray:
     """Parse a comma-separated trade-records file into a record array.
 
     Expects a header row with the columns in :data:`RECORD_COLUMNS`, each
-    once; other columns are ignored, and so are blank lines. Rows are
-    validated a chunk at a time as whole columns; a chunk with any row in
-    another form than the canonical one (see :func:`_canonical_columns`) is
-    validated row by row, and the first malformed row aborts with an error
-    naming the data row number (1-based) and the offending field. Row order
-    is preserved.
+    once; other columns are ignored, and so are blank lines. Lines are
+    validated a chunk at a time as raw bytes; a chunk with any row in
+    another form than the canonical one (see :func:`_canonical_chunk`) is
+    validated row by row (and, if it holds a quote, so is the rest of the
+    file), and the first malformed row aborts with an error naming the data
+    row number (1-based) and the offending field. Row order is preserved.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = _csv_rows(path, fh)
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        missing = [c for c in RECORD_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-        duplicates = [c for c in RECORD_COLUMNS if header.count(c) > 1]
-        if duplicates:
-            raise DataError(f"{path}: duplicate columns: {', '.join(duplicates)}")
-        index = [header.index(c) for c in RECORD_COLUMNS]
-        rows = filter(None, rows)  # a blank line reads as [] and is no data row
-        chunks, done = [], 0
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
-            columns = _canonical_columns(chunk, index)
-            if columns is None:
-                numbered = enumerate(chunk, start=done + 1)
-                columns = _columns(_parse_row(n, dict(zip(header, row))) for n, row in numbered)
-            chunks.append(columns)
-            done += len(chunk)
-            del chunk  # before the next chunk is read, so that two are never held
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader, lines_done = csv.reader(fh), 0
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            missing = [c for c in RECORD_COLUMNS if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns: {', '.join(missing)}")
+            duplicates = [c for c in RECORD_COLUMNS if header.count(c) > 1]
+            if duplicates:
+                raise DataError(f"{path}: duplicate columns: {', '.join(duplicates)}")
+            index = [header.index(c) for c in RECORD_COLUMNS]
+            chunks, rows_done, lines_done = [], 0, reader.line_num
+            while chunk := list(islice(fh, _CHUNK_ROWS)):
+                text = "".join(chunk)
+                try:
+                    chunks.append(_canonical_chunk(text, index, len(header)))
+                    rows_done += len(chunks[-1][0])
+                except _NotCanonical:
+                    # a quoted field may run on past the chunk, so the rest is read with it
+                    reader = csv.reader(chain(chunk, fh) if '"' in text else chunk)
+                    rows = filter(None, reader)  # a blank line reads as [] and is no data row
+                    while part := list(islice(rows, _CHUNK_ROWS)):
+                        numbered = enumerate((dict(zip(header, r)) for r in part), rows_done + 1)
+                        chunks.append(_columns(_parse_row(n, row) for n, row in numbered))
+                        rows_done += len(part)
+                lines_done += len(chunk)
+                del chunk, text  # before the next chunk is read, so that two are never held
+    except csv.Error as e:  # the reader's lines start after line lines_done
+        raise DataError(f"{path}: line {lines_done + reader.line_num}: {e}") from e
+    except UnicodeDecodeError as e:  # from any read of fh above
+        raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8: {e.reason}") from e
     return _assemble(chunks)
 
 

@@ -272,6 +272,10 @@ BAD_RECORD_FILES = {
         b"\n".join([_HEADER, _ROW, _ROW.replace(b"DEU", b'"' + b"x" * 200_000 + b'"'), b""]),
         f"line 3: field larger than field limit ({csv.field_size_limit()})",
     ),
+    "oversized unquoted field": (
+        b"\n".join([_HEADER, _ROW, _ROW.replace(b"DEU", b"x" * 200_000), b""]),
+        f"line 3: field larger than field limit ({csv.field_size_limit()})",
+    ),
     "duplicate column": (  # named before any row is read, the bad one included
         b"\n".join([_HEADER + b",value_usd", _ROW + b",7", b"not,a,row", b""]),
         "duplicate columns: value_usd",
@@ -384,6 +388,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "row 2, field 'first_submitted_at': timestamp leaves years 1-9999" in err
+
+    def test_non_ascii_hs2_digits_are_a_row_error(self, tmp_path, capsys):
+        # str.isdigit reads Arabic-Indic digits, so this record used to fall out of every series
+        data = tmp_path / "records.csv"
+        data.write_text(
+            "period,reporter_code,partner_code,hs2_code,value_usd,first_submitted_at,last_updated_at\n"
+            "201504,VEN,DEU,\u0660\u0662,5000000,2015-01-01T00:00:00Z,2015-01-01T00:00:00Z\n"
+            "201504,VEN,USA,02,1000000,2015-01-01T00:00:00Z,2015-01-01T00:00:00Z\n",
+            encoding="utf-8",
+        )
+        argv = ["ingest", "--data", str(data), "--series", "anova_food"]
+        assert main([*argv, "--out", str(tmp_path / "series.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "row 1, field 'hs2_code': must be a zero-padded code in 01..99" in err
 
     @pytest.mark.parametrize("command", ["ingest", "run"])
     @pytest.mark.parametrize("case", sorted(BAD_RECORD_FILES))

@@ -49,6 +49,11 @@ class TestMonths:
     def test_month_parse_both_forms(self):
         assert parse_month("2017-08") == parse_month("201708")
 
+    @pytest.mark.parametrize("token", ["201708", "2017-08"])
+    def test_month_digits_are_ascii(self, token):
+        with pytest.raises(ValueError):
+            parse_month(token.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")))
+
     def test_timestamp_normalization(self):
         z = parse_timestamp("2020-10-01T12:30:45Z")
         offset = parse_timestamp("2020-10-01T14:30:45+02:00")

@@ -93,6 +93,11 @@ class TestParseRecords:
             ("201504,VEN,DEU,2,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "hs2_code"),
             ("201504,VEN,DEU,00,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "hs2_code"),
             ("201504,VEN,DEU,02,abc,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
+            # float() reads underscores and other scripts' digits; one input language is ASCII
+            ("201504,VEN,DEU,02,1_000,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
+            ("201504,VEN,DEU,02,\u0661,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
+            ("201504,VEN,DEU,\u0660\u0662,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "hs2_code"),
+            ("\u0662\u0660\u0661\u0665\u0660\u0664,VEN,DEU,02,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "period"),
             ("201504,VEN,DEU,02,1,not-a-time,2015-08-03T00:00:00Z", "first_submitted_at"),
             (
                 "201504,VEN,DEU,02,1,2016-01-01T00:00:00Z,2015-08-03T00:00:00Z",
@@ -391,7 +396,15 @@ MUTATIONS = (
     ("period", lambda v: "000001"),
     ("period", lambda v: "201213"),
     ("first_submitted_at", lambda v: "2012-02-30T00:00:00Z"),
+    ("first_submitted_at", lambda v: "2013-02-29T00:00:00Z"),
+    ("first_submitted_at", lambda v: "1900-02-29T00:00:00Z"),
+    ("first_submitted_at", lambda v: "2012-04-31T00:00:00Z"),
+    ("first_submitted_at", lambda v: "2013-00-10T00:00:00Z"),
     ("first_submitted_at", _past_the_hour),
+    ("first_submitted_at", lambda v: v[:10] + " " + v[11:]),
+    ("last_updated_at", lambda v: v.replace("-", "/")),
+    ("last_updated_at", lambda v: v[:14] + "60" + v[16:]),
+    ("first_submitted_at", lambda v: v[:17] + "60" + v[19:]),
     ("first_submitted_at", lambda v: "0000-01-01T00:00:00Z"),
     ("first_submitted_at", lambda v: "+" + v[1:]),  # a signed year, read by numpy alone
     ("period", lambda v: v.translate(ARABIC_INDIC)),
@@ -493,27 +506,72 @@ class TestParseMatchesRowWise:
         "crlf": "{h}\r\n{a}\r\n{b}\r\n",
         "quoted fields": '{h}\n"201504","VEN","DEU","02","5e6","2015-08-03T10:15:00Z",'
         '"2015-09-01T00:00:00Z"\n{b}\n',
+        "quoted newline": '{h}\n201504,VEN,"DE\nU",02,5e6,2015-08-03T10:15:00Z,'
+        "2015-09-01T00:00:00Z\n{b}\n",
+        "lone carriage return": "{h}\n{a}\r{b}\n",
+        "carriage return in a field": "{h}\n{a}\n201504,VE\rN,USA,30,1,2015-09-10T00:00:00Z,"
+        "2016-01-01T00:00:00Z\n",
+        "no trailing newline": "{h}\n{a}\n{b}",
+        "trailing blank lines": "{h}\n{a}\n{b}\n\n\r\n\n",
+        "more fields than the header": "{h}\n{a},extra\n{b}\n",
+        "short row": "{h}\n{a}\n{b_short}\n",
         "reordered and extra columns": "note,last_updated_at,value_usd,first_submitted_at,"
         "hs2_code,partner_code,reporter_code,period\n"
         '"a, b",2015-09-01T00:00:00Z,5e6,2015-08-03T10:15:00Z,02,DEU,VEN,201504\n'
         ",2016-01-01T00:00:00Z,1250000.5,2015-09-10T00:00:00Z,30,USA,VEN,201504,extra\n",
     }
 
+    #: The layouts whose second data row is bad, and the field named.
+    BAD_ROW_2 = {"short row": "last_updated_at", "carriage return in a field": "partner_code"}
+
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-    def test_csv_layouts(self, tmp_path, layout):
+    def test_csv_layouts(self, canonical, tmp_path, layout):
+        self.check_layout(canonical, tmp_path, layout, past_first_chunk=False)
+
+    @pytest.mark.parametrize("layout", [name for name, text in sorted(LAYOUTS.items()) if "{h}" in text])
+    def test_csv_layouts_past_the_first_chunk(self, canonical, tmp_path, layout):
+        """The layout's first line is the last line of a chunk whose other
+        lines are canonical rows."""
+        self.check_layout(canonical, tmp_path, layout, past_first_chunk=True)
+
+    def check_layout(self, canonical, tmp_path, layout, past_first_chunk):
+        """The layout gives what the row-wise parse gives."""
+        header, rows = HEADER.rstrip("\n"), canonical[1][: trade_ingest._CHUNK_ROWS - 1]
+        if past_first_chunk:
+            header += "\r\n" + _csv_text(rows).removesuffix("\r\n")
+        b = "201504,VEN,USA,30,1250000.5,2015-09-10T00:00:00Z,2016-01-01T00:00:00Z"
         path = tmp_path / "records.csv"
         path.write_bytes(
             self.LAYOUTS[layout]
             .format(
-                h=HEADER.rstrip("\n"),
+                h=header,
                 a="201504,VEN,DEU,02,5e6,2015-08-03T10:15:00Z,2015-09-01T00:00:00Z",
-                b="201504,VEN,USA,30,1250000.5,2015-09-10T00:00:00Z,2016-01-01T00:00:00Z",
+                b=b,
+                b_short=b.rpartition(",")[0],
             )
             .encode("utf-8")
         )
-        got, want = parse_records(path), reference_parse_records(path)
-        assert len(got) == 2
+        got = _outcome(parse_records, path)
+        assert got == _outcome(reference_parse_records, path)
+        if layout in self.BAD_ROW_2:
+            assert got[1:3] == (2 + past_first_chunk * len(rows), self.BAD_ROW_2[layout])
+        else:
+            assert got[0] == "records"
+            assert len(got[2]) == got[1].itemsize * (2 + past_first_chunk * len(rows))
+
+    @staticmethod
+    def parse_without_row_wise(path, monkeypatch):
+        """``parse_records(path)``, with the row-wise parse made to fail, and
+        the row-wise parse's dtype and bytes for the same file."""
+        want = reference_parse_records(path)
+
+        def refuse(*args):
+            raise AssertionError("a canonical row took the row-wise parse")
+
+        monkeypatch.setattr(trade_ingest, "_parse_row", refuse)
+        got = parse_records(path)
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        return got
 
     @pytest.mark.parametrize("scale", [1, 3])
     def test_canonical_files_never_take_the_row_wise_path(self, tmp_path, monkeypatch, scale):
@@ -525,12 +583,18 @@ class TestParseMatchesRowWise:
             script = REPO_ROOT / "bench" / "make_scaled.py"
             argv = ["--k", str(scale), "--seed", "1", "--out", str(path)]
             subprocess.run([sys.executable, str(script), *argv], check=True, capture_output=True)
-        want = reference_parse_records(path)
+        assert len(self.parse_without_row_wise(path, monkeypatch)) == 1944 * scale
 
-        def refuse(*args):
-            raise AssertionError("a canonical row took the row-wise parse")
-
-        monkeypatch.setattr(trade_ingest, "_parse_row", refuse)
-        got = parse_records(path)
-        assert len(got) == 1944 * scale
-        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    def test_calendar_edges_never_take_the_row_wise_path(self, tmp_path, monkeypatch):
+        """The canonical check is no stricter than the calendar: leap days
+        and the first and last instants of years 1-9999 are canonical, and
+        so are LF and CRLF line ends, blank lines and a missing last newline."""
+        path = tmp_path / "records.csv"
+        path.write_bytes(
+            HEADER.encode()
+            + b"201202,VEN,DEU,02,1,2012-02-29T00:00:00Z,2012-02-29T23:59:59Z\r\n\n\r\n"
+            + b"200002,VEN,USA,02,1,2000-02-29T12:00:00Z,9999-12-31T23:59:59Z\n"
+            + b"000101,VEN,BRA,30,2.5e6,0001-01-01T00:00:00Z,0001-01-01T00:00:00Z"
+        )
+        got = self.parse_without_row_wise(path, monkeypatch)
+        assert got.last_updated_at[1] == np.datetime64("9999-12-31T23:59:59")
