@@ -1,13 +1,7 @@
 """breaklens: vintage-aware trade-series reconstruction and trend-break auditing."""
 
 from .errors import BreaklensError, ConfigError, DataError, EstimationError, RecordParseError
-from .rdd_local_poly import (
-    RddFit,
-    RddSpec,
-    kernel_weight,
-    local_poly_fit,
-    rd_estimate,
-)
+from .rdd_local_poly import RddFit, RddSpec, rd_estimate
 from .replication_audit import (
     CoefficientAudit,
     SeriesComparison,
@@ -79,9 +73,7 @@ __all__ = [
     "export_figure_data",
     "feasibility_check",
     "fit_trend_break",
-    "kernel_weight",
     "load_config",
-    "local_poly_fit",
     "log_transform",
     "parse_records",
     "rd_estimate",

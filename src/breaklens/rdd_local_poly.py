@@ -7,6 +7,10 @@ conventional sandwich errors plus robust bias-corrected intervals where the
 leading smoothing bias is estimated with one-order-higher local polynomials
 at a pilot bandwidth and its estimation noise is folded into the variance.
 
+One ``RddSpec`` describes a fit and is validated once, when it is built.
+``rd_estimate`` windows a monthly series and fits it; ``rd_estimate_xy`` fits
+raw (months-from-cutoff, value) points under the same spec.
+
 The running variable is discrete monthly time; effective per-side counts are
 reported prominently because mass points make the usual continuity
 asymptotics an approximation.
@@ -28,8 +32,6 @@ from .series import MonthlySeries
 
 TRIANGULAR = "triangular"
 UNIFORM = "uniform"
-LEFT = "left"
-RIGHT = "right"
 LEVEL = "level"
 SLOPE = "slope"
 MSE_OPTIMAL = "mse_optimal"
@@ -46,16 +48,11 @@ _Z95 = 1.96
 DEFAULT_BANDWIDTH_SAMPLE = (date(2012, 1, 1), date(2020, 12, 1))
 
 
-def kernel_weight(u, kernel: str = TRIANGULAR):
+def _kernel_weight(u, kernel):
     """Kernel weight at normalized distance u (support |u| <= 1)."""
-    arr = np.asarray(u, dtype=float)
     if kernel == TRIANGULAR:
-        w = np.maximum(0.0, 1.0 - np.abs(arr))
-    elif kernel == UNIFORM:
-        w = (np.abs(arr) <= 1.0).astype(float)
-    else:
-        raise ValueError(f"unknown kernel: {kernel!r}")
-    return float(w) if np.isscalar(u) else w
+        return np.maximum(0.0, 1.0 - np.abs(u))
+    return (np.abs(u) <= 1.0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -64,8 +61,10 @@ class RddSpec:
 
     ``poly_order`` defaults to 1 for the level jump and 2 for the slope
     jump; both are overridable. ``bandwidth`` is either ``"mse_optimal"``
-    or a manual width in months. The pilot (bias) bandwidth defaults to
-    1.5 x the main bandwidth.
+    or a manual width in months. The pilot (bias) bandwidth is
+    ``pilot_factor`` (at least 1) times the main bandwidth.
+    ``cutoff_month`` and ``bandwidth_sample`` place a monthly series on the
+    running variable and are read only by ``rd_estimate``.
     """
 
     cutoff_month: date
@@ -75,7 +74,6 @@ class RddSpec:
     bandwidth: float | str = MSE_OPTIMAL
     bandwidth_sample: tuple[date, date] = DEFAULT_BANDWIDTH_SAMPLE
     pilot_factor: float = 1.5
-    pilot_bandwidth: float | None = None
     variance: str = WLS_RESIDUALS
 
     def __post_init__(self):
@@ -123,45 +121,22 @@ class RddFit:
 
 
 @dataclass(frozen=True)
-class LocalPolyFit:
-    """One-sided weighted polynomial fit evaluated at the cutoff.
-
-    ``coef[j]`` multiplies u^j, so the conditional mean at the cutoff is
-    ``coef[0]`` and the j-th derivative is j! * coef[j].
-    """
-
-    coef: tuple[float, ...]
-    cov: np.ndarray
-    n_effective: int
-    h: float
-    poly_order: int
-    kernel: str
-    side: str
-
-    def derivative(self, order: int) -> float:
-        return math.factorial(order) * self.coef[order]
-
-    def derivative_se(self, order: int) -> float:
-        return math.factorial(order) * math.sqrt(float(self.cov[order, order]))
-
-
 class _SideFit:
     """Internals of one weighted polynomial fit, kept for bias/variance algebra."""
 
-    __slots__ = ("beta", "proj", "idx", "u", "w", "resid", "n_effective")
+    beta: np.ndarray   # unscaled coefficients on u^0..u^p
+    proj: np.ndarray   # rows map y_sub -> beta
+    idx: np.ndarray    # positions of the used points in the side arrays
+    u: np.ndarray
+    resid: np.ndarray
 
-    def __init__(self, beta, proj, idx, u, w, resid):
-        self.beta = beta          # unscaled coefficients on u^0..u^p
-        self.proj = proj          # rows map y_sub -> beta
-        self.idx = idx            # positions of the used points in the side arrays
-        self.u = u
-        self.w = w
-        self.resid = resid
-        self.n_effective = len(u)
+    @property
+    def n_effective(self) -> int:
+        return len(self.u)
 
 
 def _fit_side(u, y, p, h, kernel, label) -> _SideFit:
-    w = kernel_weight(u / h, kernel)
+    w = _kernel_weight(u / h, kernel)
     pos = np.flatnonzero(w > 0)
     if len(pos) < p + 1:
         raise EstimationError(
@@ -184,7 +159,7 @@ def _fit_side(u, y, p, h, kernel, label) -> _SideFit:
     proj = proj_scaled / powers[:, None]
     beta = proj @ yy
     resid = yy - np.vander(uu, p + 1, increasing=True) @ beta
-    return _SideFit(beta, proj, pos, uu, ww, resid)
+    return _SideFit(beta, proj, pos, uu, resid)
 
 
 def _nn_sigma2(u, y, points) -> np.ndarray:
@@ -210,13 +185,20 @@ def _split_sides(t, y):
     return (t[left], y[left]), (t[~left], y[~left])
 
 
-def _side_parts(u, y, nu, p, kernel, h, b, variance, label):
+@dataclass(frozen=True)
+class _SideParts:
+    """One side's estimate, smoothing bias and conventional/robust variances."""
+
+    est: float
+    bias: float
+    var_conv: float
+    var_rob: float
+    n_effective: int
+
+
+def _side_parts(u, y, nu, p, kernel, h, b, variance, label) -> _SideParts:
     main = _fit_side(u, y, p, h, kernel, f"{label} side")
     pilot = _fit_side(u, y, p + 1, b, kernel, f"{label} pilot (b={b:.4g})")
-    if pilot.n_effective < p + 2:
-        raise EstimationError(
-            f"{label} pilot window too small: {pilot.n_effective} points for order {p + 1}"
-        )
     fac = math.factorial(nu)
     est = fac * main.beta[nu]
     # exact conditional bias factor: response of the main estimator to u^(p+1)
@@ -238,41 +220,12 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, label):
     l_comb = np.zeros(len(u))
     np.add.at(l_comb, main.idx, fac * main.proj[nu])
     np.add.at(l_comb, pilot.idx, -phi * pilot.proj[p + 1])
-    # every positively weighted main point is inside the pilot window (b >= h)
+    # every positively weighted main point is inside the pilot window
+    # (b >= h, as pilot_factor >= 1)
     sigma2_full = np.zeros(len(u))
     sigma2_full[pilot.idx] = sigma2_pilot
     var_rob = float(np.sum(l_comb**2 * sigma2_full))
-    return {
-        "est": est,
-        "bias": bias,
-        "var_conv": var_conv,
-        "var_rob": var_rob,
-        "n_effective": main.n_effective,
-        "main": main,
-        "pilot": pilot,
-    }
-
-
-def _rd_core(t, y, *, nu, p, kernel, h, b, variance):
-    (ul, yl), (ur, yr) = _split_sides(t, y)
-    if b < h:
-        raise EstimationError(f"pilot bandwidth b={b:.4g} must be >= h={h:.4g}")
-    left = _side_parts(ul, yl, nu, p, kernel, h, b, variance, "left")
-    right = _side_parts(ur, yr, nu, p, kernel, h, b, variance, "right")
-    tau = right["est"] - left["est"]
-    bias = right["bias"] - left["bias"]
-    tau_bc = tau - bias
-    se_conv = math.sqrt(left["var_conv"] + right["var_conv"])
-    se_rob = math.sqrt(left["var_rob"] + right["var_rob"])
-    return {
-        "tau": tau,
-        "bias": bias,
-        "tau_bc": tau_bc,
-        "se_conventional": se_conv,
-        "se_robust": se_rob,
-        "n_left": left["n_effective"],
-        "n_right": right["n_effective"],
-    }
+    return _SideParts(est, bias, var_conv, var_rob, main.n_effective)
 
 
 def _p_value(estimate, se) -> float:
@@ -392,106 +345,43 @@ def _series_points(series: MonthlySeries, spec: RddSpec):
     return series.window(start, end).to_arrays(spec.cutoff_month)
 
 
-def local_poly_fit(
-    series: MonthlySeries,
-    cutoff: date,
-    side: str,
-    p: int,
-    h: float,
-    kernel: str = TRIANGULAR,
-) -> LocalPolyFit:
-    """One-sided kernel-weighted polynomial fit at the cutoff.
+def rd_estimate_xy(t, y, spec: RddSpec) -> RddFit:
+    """Discontinuity estimate on raw (months-from-cutoff, value) points.
 
-    Weighted least squares of the outcome on (1, u, ..., u^p) with
-    u = months from the cutoff and weights K(u/h); the right side includes
-    the cutoff month itself.
+    ``t`` is already measured from the cutoff, so the spec's
+    ``cutoff_month`` and ``bandwidth_sample`` are not read here.
     """
-    if side not in (LEFT, RIGHT):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    t, y = series.to_arrays(cutoff)
-    keep = t < 0 if side == LEFT else t >= 0
-    u, yy = t[keep], y[keep]
-    fit = _fit_side(u, yy, p, h, kernel, f"{side} side")
-    dfm = max(fit.n_effective - (p + 1), 1)
-    sigma2 = fit.resid**2 * (fit.n_effective / dfm)
-    cov = (fit.proj * sigma2) @ fit.proj.T
-    return LocalPolyFit(
-        coef=tuple(float(b) for b in fit.beta),
-        cov=cov,
-        n_effective=fit.n_effective,
-        h=h,
-        poly_order=p,
-        kernel=kernel,
-        side=side,
-    )
-
-
-def rd_estimate_xy(
-    t,
-    y,
-    *,
-    estimand: str = LEVEL,
-    p: int | None = None,
-    kernel: str = TRIANGULAR,
-    bandwidth: float | str = MSE_OPTIMAL,
-    pilot_factor: float = 1.5,
-    pilot_bandwidth: float | None = None,
-    variance: str = WLS_RESIDUALS,
-) -> RddFit:
-    """Discontinuity estimate on raw (months-from-cutoff, value) points."""
-    nu = _DERIV_ORDER[estimand]
-    order = _DEFAULT_P[estimand] if p is None else p
-    if order < nu:
-        raise ValueError(f"poly order {order} below derivative order {nu}")
-    if isinstance(bandwidth, str):
-        h = select_bandwidth_xy(t, y, nu=nu, p=order, kernel=kernel)
+    nu, p, kernel = spec.derivative_order, spec.resolved_order, spec.kernel
+    if spec.bandwidth == MSE_OPTIMAL:
+        h = select_bandwidth_xy(t, y, nu=nu, p=p, kernel=kernel)
     else:
-        h = float(bandwidth)
-    b = float(pilot_bandwidth) if pilot_bandwidth is not None else pilot_factor * h
-    parts = _rd_core(
-        t,
-        y,
-        nu=nu,
-        p=order,
-        kernel=kernel,
-        h=h,
-        b=b,
-        variance=variance,
-    )
-    ci = (
-        parts["tau_bc"] - _Z95 * parts["se_robust"],
-        parts["tau_bc"] + _Z95 * parts["se_robust"],
-    )
+        h = float(spec.bandwidth)
+    b = spec.pilot_factor * h
+    (ul, yl), (ur, yr) = _split_sides(t, y)
+    left = _side_parts(ul, yl, nu, p, kernel, h, b, spec.variance, "left")
+    right = _side_parts(ur, yr, nu, p, kernel, h, b, spec.variance, "right")
+    tau = right.est - left.est
+    tau_bc = tau - (right.bias - left.bias)
+    se_conv = math.sqrt(left.var_conv + right.var_conv)
+    se_rob = math.sqrt(left.var_rob + right.var_rob)
     return RddFit(
-        estimand=estimand,
-        tau=parts["tau"],
-        se_conventional=parts["se_conventional"],
-        tau_bc=parts["tau_bc"],
-        se_robust=parts["se_robust"],
-        ci_robust=ci,
-        p_conventional=_p_value(parts["tau"], parts["se_conventional"]),
-        p_robust=_p_value(parts["tau_bc"], parts["se_robust"]),
+        estimand=spec.estimand,
+        tau=tau,
+        se_conventional=se_conv,
+        tau_bc=tau_bc,
+        se_robust=se_rob,
+        ci_robust=(tau_bc - _Z95 * se_rob, tau_bc + _Z95 * se_rob),
+        p_conventional=_p_value(tau, se_conv),
+        p_robust=_p_value(tau_bc, se_rob),
         h_used=h,
         b_used=b,
-        n_left=parts["n_left"],
-        n_right=parts["n_right"],
-        poly_order=order,
+        n_left=left.n_effective,
+        n_right=right.n_effective,
+        poly_order=p,
         kernel=kernel,
     )
 
 
 def rd_estimate(series: MonthlySeries, spec: RddSpec) -> RddFit:
     """Discontinuity estimate for a monthly series under the given spec."""
-    t, y = _series_points(series, spec)
-    return rd_estimate_xy(
-        t,
-        y,
-        estimand=spec.estimand,
-        p=spec.resolved_order,
-        kernel=spec.kernel,
-        bandwidth=spec.bandwidth,
-        pilot_factor=spec.pilot_factor,
-        pilot_bandwidth=spec.pilot_bandwidth,
-        variance=spec.variance,
-    )
-
+    return rd_estimate_xy(*_series_points(series, spec), spec)

@@ -141,7 +141,8 @@ def test_criterion_4_rdd_windowed_ols_oracle():
     for _ in range(25):
         y = 1.0 + 0.05 * t + 0.002 * t * t + 0.5 * rng.standard_normal(len(t))
         h = float(rng.integers(5, 20))
-        fit = rd_estimate_xy(t, y, estimand="level", kernel="uniform", bandwidth=h)
+        spec = RddSpec(cutoff_month=CUTOFF, estimand="level", kernel="uniform", bandwidth=h)
+        fit = rd_estimate_xy(t, y, spec)
 
         def window_fit(mask):
             X = np.column_stack([np.ones(int(mask.sum())), t[mask]])
@@ -155,7 +156,8 @@ def test_criterion_4_rdd_windowed_ols_oracle():
     step_worst = 0.0
     for h in (3.0, 5.0, 8.0, 13.0, 21.0, 34.0):
         for kernel in ("triangular", "uniform"):
-            fit = rd_estimate_xy(t, step, estimand="level", kernel=kernel, bandwidth=h)
+            spec = RddSpec(cutoff_month=CUTOFF, estimand="level", kernel=kernel, bandwidth=h)
+            fit = rd_estimate_xy(t, step, spec)
             step_worst = max(step_worst, abs(fit.tau - 2.0))
     assert step_worst < 1e-9
     print(
@@ -171,6 +173,7 @@ def test_criterion_5_robust_ci_coverage():
     tau_true = 1.0
     reps = 2000
     covered = 0
+    spec = RddSpec(cutoff_month=CUTOFF, estimand="level")  # t is already centred
     for _ in range(reps):
         t = rng.uniform(-1.0, 1.0, 500)
         m = np.where(
@@ -179,7 +182,7 @@ def test_criterion_5_robust_ci_coverage():
             tau_true + 0.5 * t - t**2 + 0.8 * t**3,
         )
         y = m + 0.5 * rng.standard_normal(500)
-        fit = rd_estimate_xy(t, y, estimand="level")
+        fit = rd_estimate_xy(t, y, spec)
         lo, hi = fit.ci_robust
         covered += lo <= tau_true <= hi
     coverage = covered / reps

@@ -4,11 +4,12 @@ from datetime import date
 import numpy as np
 import pytest
 
-from breaklens.errors import EstimationError
+from breaklens.errors import EstimationError, SpecError
 from breaklens.rdd_local_poly import (
     RddSpec,
-    kernel_weight,
-    local_poly_fit,
+    _fit_side,
+    _kernel_weight,
+    _split_sides,
     rd_estimate,
     rd_estimate_xy,
     select_bandwidth_xy,
@@ -33,41 +34,51 @@ def step_series(jump=2.0, slope=0.3):
 
 class TestKernelWeight:
     def test_triangular_peak(self):
-        assert kernel_weight(0.0) == 1.0
+        assert _kernel_weight(0.0, "triangular") == 1.0
 
     def test_triangular_boundary(self):
-        assert kernel_weight(1.0) == 0.0
-        assert kernel_weight(-1.0) == 0.0
+        assert _kernel_weight(1.0, "triangular") == 0.0
+        assert _kernel_weight(-1.0, "triangular") == 0.0
 
     def test_triangular_midpoint(self):
-        assert kernel_weight(0.5) == 0.5
-        assert kernel_weight(-0.5) == 0.5
+        assert _kernel_weight(0.5, "triangular") == 0.5
+        assert _kernel_weight(-0.5, "triangular") == 0.5
 
     def test_uniform(self):
-        assert kernel_weight(0.0, "uniform") == 1.0
-        assert kernel_weight(1.0, "uniform") == 1.0
-        assert kernel_weight(1.0001, "uniform") == 0.0
+        assert _kernel_weight(0.0, "uniform") == 1.0
+        assert _kernel_weight(1.0, "uniform") == 1.0
+        assert _kernel_weight(1.0001, "uniform") == 0.0
 
     def test_vanishes_outside_support(self):
         u = np.linspace(-3, 3, 61)
-        w = kernel_weight(u)
-        assert np.all(w[np.abs(u) > 1] == 0.0)
-        assert np.all(w >= 0.0)
+        for kernel in ("triangular", "uniform"):
+            w = _kernel_weight(u, kernel)
+            assert np.all(w[np.abs(u) > 1] == 0.0)
+            assert np.all(w >= 0.0)
 
     def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            kernel_weight(0.0, "gaussian")
+        # rejected when the spec is built, so no weight is ever computed for it
+        with pytest.raises(SpecError, match="kernel"):
+            RddSpec(cutoff_month=CUTOFF, kernel="gaussian")
+
+
+def side_points(series, side):
+    """(months from the cutoff, value) of one side of the cutoff."""
+    left, right = _split_sides(*series.to_arrays(CUTOFF))
+    return left if side == "left" else right
 
 
 class TestLocalPolyFit:
+    """One-sided kernel-weighted fits: `_fit_side` directly, or through
+    `rd_estimate_xy` at a manual bandwidth."""
+
     def test_exact_polynomial_interpolation(self):
         for p in (1, 2, 3):
             coefs = [0.7, -0.3, 0.05, -0.004][: p + 1]
             s = series_on_months(lambda t: sum(c * t**j for j, c in enumerate(coefs)))
-            fit = local_poly_fit(s, CUTOFF, "left", p, h=20.0)
-            np.testing.assert_allclose(fit.coef, coefs, atol=1e-9)
-            fit = local_poly_fit(s, CUTOFF, "right", p, h=20.0)
-            np.testing.assert_allclose(fit.coef, coefs, atol=1e-9)
+            for side in ("left", "right"):
+                fit = _fit_side(*side_points(s, side), p, 20.0, "triangular", side)
+                np.testing.assert_allclose(fit.beta, coefs, atol=1e-9)
 
     def test_uniform_kernel_equals_windowed_ols(self):
         rng = np.random.default_rng(21)
@@ -78,12 +89,12 @@ class TestLocalPolyFit:
             s.meta,
         )
         h = 9.0
-        fit = local_poly_fit(noisy, CUTOFF, "right", 1, h, kernel="uniform")
+        fit = _fit_side(*side_points(noisy, "right"), 1, h, "uniform", "right")
         t, y = noisy.to_arrays(CUTOFF)
         keep = (t >= 0) & (t <= h)
         X = np.column_stack([np.ones(keep.sum()), t[keep]])
         beta = np.linalg.lstsq(X, y[keep], rcond=None)[0]
-        np.testing.assert_allclose(fit.coef, beta, atol=1e-10)
+        np.testing.assert_allclose(fit.beta, beta, atol=1e-10)
         assert fit.n_effective == int(keep.sum())
 
     def test_hand_computed_three_point_wls(self):
@@ -93,27 +104,30 @@ class TestLocalPolyFit:
         s = MonthlySeries(
             date(2017, 5, 1), tuple(values), SeriesMeta(transform="log")
         )
-        fit = local_poly_fit(s, date(2017, 8, 1), "left", 1, h=4.0)
-        assert fit.coef == pytest.approx((4.0, 1.0), abs=1e-12)
+        fit = _fit_side(*side_points(s, "left"), 1, 4.0, "triangular", "left")
+        assert tuple(fit.beta) == pytest.approx((4.0, 1.0), abs=1e-12)
 
     def test_right_side_includes_cutoff_month(self):
-        s = step_series()
-        fit = local_poly_fit(s, CUTOFF, "right", 1, h=6.0)
+        u, y = side_points(step_series(), "right")
+        assert u[0] == 0.0
+        fit = _fit_side(u, y, 1, 6.0, "triangular", "right")
         # value at t=0 is 3.0 and the fitted intercept reproduces it exactly
-        assert fit.derivative(0) == pytest.approx(3.0, abs=1e-9)
+        assert fit.beta[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_too_few_points_raises(self):
-        s = step_series()
+        t, y = step_series().to_arrays(CUTOFF)
+        spec = RddSpec(cutoff_month=CUTOFF, estimand="level", poly_order=3, bandwidth=2.0)
         with pytest.raises(EstimationError, match="positive weight"):
-            local_poly_fit(s, CUTOFF, "left", 3, h=2.0)
+            rd_estimate_xy(t, y, spec)
 
     def test_widening_h_never_drops_points(self):
-        s = step_series()
-        counts = [
-            local_poly_fit(s, CUTOFF, "left", 1, h).n_effective
+        t, y = step_series().to_arrays(CUTOFF)
+        fits = [
+            rd_estimate_xy(t, y, RddSpec(cutoff_month=CUTOFF, bandwidth=h))
             for h in (3.0, 6.0, 12.0, 24.0, 60.0)
         ]
-        assert counts == sorted(counts)
+        assert [f.n_left for f in fits] == sorted(f.n_left for f in fits)
+        assert [f.n_right for f in fits] == sorted(f.n_right for f in fits)
 
 
 class TestRdEstimate:
@@ -184,14 +198,6 @@ class TestRdEstimate:
         with pytest.raises(EstimationError):
             rd_estimate(s, spec)
 
-    def test_pilot_must_cover_main_bandwidth(self):
-        s = step_series()
-        spec = RddSpec(
-            cutoff_month=CUTOFF, estimand="level", bandwidth=8.0, pilot_bandwidth=4.0
-        )
-        with pytest.raises(EstimationError, match="pilot"):
-            rd_estimate(s, spec)
-
 
 class TestEquivariance:
     def _noisy_series(self, seed=5, curve=True):
@@ -260,12 +266,12 @@ class TestEquivariance:
         t = np.arange(-40.0, 41.0) + 0.5
         y = np.where(t < 0, 1.0 + 0.05 * t + 0.004 * t**2, 2.5 - 0.03 * t - 0.002 * t**2)
         y = y + 0.05 * rng.standard_normal(len(y))
-        f = rd_estimate_xy(t, y, estimand="level", bandwidth=9.0)
-        g = rd_estimate_xy(-t, y, estimand="level", bandwidth=9.0)
+        level = RddSpec(cutoff_month=CUTOFF, estimand="level", bandwidth=9.0)
+        f, g = rd_estimate_xy(t, y, level), rd_estimate_xy(-t, y, level)
         assert g.tau == pytest.approx(-f.tau, abs=1e-9)
         assert g.se_conventional == pytest.approx(f.se_conventional, abs=1e-9)
-        fs = rd_estimate_xy(t, y, estimand="slope", bandwidth=12.0)
-        gs = rd_estimate_xy(-t, y, estimand="slope", bandwidth=12.0)
+        slope = RddSpec(cutoff_month=CUTOFF, estimand="slope", bandwidth=12.0)
+        fs, gs = rd_estimate_xy(t, y, slope), rd_estimate_xy(-t, y, slope)
         assert gs.tau == pytest.approx(fs.tau, abs=1e-9)
 
 
@@ -278,7 +284,7 @@ class TestBandwidthSelector:
         y = np.where(t < 0, 0.05 * t**2, 1.0 - 0.05 * t**2) + 1e-6 * rng.standard_normal(len(t))
         h = select_bandwidth_xy(t, y, nu=0, p=1)
         assert h >= 3.0
-        fit = rd_estimate_xy(t, y, estimand="level", bandwidth=h)
+        fit = rd_estimate_xy(t, y, RddSpec(cutoff_month=CUTOFF, estimand="level", bandwidth=h))
         assert fit.n_left >= 3 and fit.n_right >= 3
 
     def test_zero_curvature_falls_back_with_warning(self):
@@ -286,7 +292,7 @@ class TestBandwidthSelector:
         y = 2.0 + 0.1 * t
         with pytest.warns(UserWarning, match="rule-of-thumb"):
             h = select_bandwidth_xy(t, y, nu=0, p=1)
-        assert h == pytest.approx(np.std(t) * len(t) ** (-0.2), rel=1e-9) or h >= 3.0
+        assert h == pytest.approx(np.std(t) * len(t) ** (-0.2), rel=1e-9)
 
     def test_shrink_rate_under_infill(self):
         # fixed support, 16x the points: the closed form scales the width
@@ -428,6 +434,28 @@ class TestSpecValidation:
     def test_manual_bandwidth_positive(self):
         with pytest.raises(ValueError):
             RddSpec(cutoff_month=CUTOFF, bandwidth=-2.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("estimand", "jump"),
+            ("variance", "nearest-neighbour"),
+            ("bandwidth", "optimal"),
+            ("pilot_factor", 0.5),
+        ],
+    )
+    def test_misspelled_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(SpecError) as err:
+            RddSpec(cutoff_month=CUTOFF, **{field: value})
+        assert err.value.field == field
+
+    def test_fit_takes_no_tuning_keywords(self):
+        # a misspelled variance or bandwidth keyword used to run silently
+        # with the default; every tuning value now comes from a checked spec
+        t, y = step_series().to_arrays(CUTOFF)
+        for tuning in ({"variance": "nearest-neighbour"}, {"bandwidth": "optimal"}):
+            with pytest.raises(TypeError):
+                rd_estimate_xy(t, y, estimand="level", **tuning)
 
     def test_default_orders(self):
         assert RddSpec(cutoff_month=CUTOFF, estimand="level").resolved_order == 1
