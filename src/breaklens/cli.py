@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError, EstimationError
 from .months import parse_timestamp
-from .pipeline import RunConfig, load_config, run_audit, run_pipeline
+from .pipeline import load_config, run_audit, run_pipeline
 from .series import write_series_csv
 from .tables import render_audit_table
 from .trade_ingest import (
@@ -43,11 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the full pipeline from a config file")
     run_p.add_argument("--config", required=True, help="path to the JSON run config")
     run_p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
-    run_p.add_argument("--seed", type=int, default=None, help="seed recorded for simulation oracles")
 
     audit_p = sub.add_parser("audit", help="run only the audit stages of a config")
     audit_p.add_argument("--config", required=True, help="path to the JSON run config")
-    audit_p.add_argument("--seed", type=int, default=None, help="seed recorded for simulation oracles")
 
     ingest_p = sub.add_parser(
         "ingest", help="aggregate a records file into one monthly series"
@@ -67,19 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    config = load_config(args.config)
-    return config if args.seed is None else replace(config, seed=args.seed)
-
-
 def _cmd_run(args) -> int:
-    _, out_path = run_pipeline(_load(args), Path(args.config).parent, out_dir=args.out)
+    _, out_path = run_pipeline(load_config(args.config), Path(args.config).parent, out_dir=args.out)
     print(f"wrote results to {out_path}")
     return 0
 
 
 def _cmd_audit(args) -> int:
-    audit_records, out_path = run_audit(_load(args), Path(args.config).parent)
+    audit_records, out_path = run_audit(load_config(args.config), Path(args.config).parent)
     if not audit_records:
         print("no audits configured")
         return 0
@@ -96,7 +88,6 @@ def _cmd_ingest(args) -> int:
         )
     category = BUILTIN_CATEGORY_SETS[args.series]
     records = parse_records(args.data)
-    cutoff = None
     if args.vintage is not None:
         try:
             cutoff = parse_timestamp(args.vintage)
@@ -105,13 +96,8 @@ def _cmd_ingest(args) -> int:
         records = apply_vintage(records, VintagePolicy(cutoff_instant=cutoff))
     if len(records) == 0:
         raise DataError("no records remain after the vintage filter")
-    series = aggregate_series(
-        records,
-        category,
-        (records.period.min().item(), records.period.max().item()),
-        vintage_cutoff=cutoff,
-        label=args.series,
-    )
+    span = (records.period.min().item(), records.period.max().item())
+    series = aggregate_series(records, category, span, label=args.series)
     write_series_csv(series, args.out)
     print(f"wrote {len(series)} months to {args.out}")
     return 0

@@ -6,6 +6,8 @@ DataError -> 2, EstimationError -> 3.
 
 from __future__ import annotations
 
+import math
+
 
 class BreaklensError(Exception):
     """Base class for all package errors."""
@@ -26,6 +28,11 @@ class SpecError(ValueError):
 def require_choice(field: str, value, choices: tuple[str, ...]) -> None:
     if value not in choices:
         raise SpecError(field, f"must be one of {', '.join(choices)}, got {value!r}")
+
+
+def require_finite(field: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(field, f"must be finite, got {value}")
 
 
 class DataError(BreaklensError):

@@ -68,10 +68,6 @@ def format_month(d: date) -> str:
     return f"{d.year:04d}-{d.month:02d}"
 
 
-def format_period(d: date) -> str:
-    return f"{d.year:04d}{d.month:02d}"
-
-
 def as_utc(ts: datetime) -> datetime:
     """``ts`` as an aware UTC datetime truncated to whole seconds.
 

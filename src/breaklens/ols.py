@@ -20,11 +20,8 @@ class OlsFit:
     se: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
-    cov: np.ndarray
     residuals: np.ndarray
     r_squared: float
-    n: int
-    k: int
 
 
 def default_hac_lags(n: int) -> int:
@@ -90,9 +87,6 @@ def fit_ols(
         se=se,
         t_stats=t_stats,
         p_values=np.asarray(p_values),
-        cov=cov,
         residuals=residuals,
         r_squared=r_squared,
-        n=n,
-        k=k,
     )

@@ -27,7 +27,7 @@ from .months import (
     parse_month,
     parse_timestamp,
 )
-from .rdd_local_poly import DEFAULT_BANDWIDTH_SAMPLE, RddSpec, rd_estimate
+from .rdd_local_poly import RddSpec, rd_estimate
 from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
 from .tables import AUDIT_SIDES, audit_rows, render_tables
@@ -160,11 +160,11 @@ class VintageDef:
 @dataclass(frozen=True, kw_only=True)
 class TrendBreakDef:
     cutoff_month: date = key(MONTH)
-    pre_window: int = key(INT, 28)
-    post_window: int = key(INT, 29)
-    treat_cutoff_as_post: bool = key(BOOL, True)
-    se_type: str = key(TEXT, "classical")
-    hac_lags: int | None = key(INT, None)
+    pre_window: int = key(INT, TrendBreakSpec.pre_window)
+    post_window: int = key(INT, TrendBreakSpec.post_window)
+    treat_cutoff_as_post: bool = key(BOOL, TrendBreakSpec.treat_cutoff_as_post)
+    se_type: str = key(TEXT, TrendBreakSpec.se_type)
+    hac_lags: int | None = key(INT, TrendBreakSpec.hac_lags)
     horizon: int | None = key(at_least(0), None)  # None means post_window - 1
 
 
@@ -172,15 +172,15 @@ class TrendBreakDef:
 class RddDef:
     cutoff_month: date = key(MONTH)
     estimands: tuple[str, ...] = key([TEXT, ...], ("level", "slope"))
-    kernel: str = key(TEXT, "triangular")
-    bandwidth: float | str = key(BANDWIDTH, "mse_optimal")
-    bandwidth_sample: tuple[date, date] = key([MONTH, MONTH], DEFAULT_BANDWIDTH_SAMPLE)
+    kernel: str = key(TEXT, RddSpec.kernel)
+    bandwidth: float | str = key(BANDWIDTH, RddSpec.bandwidth)
+    bandwidth_sample: tuple[date, date] = key([MONTH, MONTH], RddSpec.bandwidth_sample)
     transform: str = key(one_of(TRANSFORMS), LOG)
     vintage: str = key(TEXT, "latest")
     poly_order_level: int | None = key(INT, None)
     poly_order_slope: int | None = key(INT, None)
-    pilot_factor: float = key(NUMBER, 1.5)
-    variance: str = key(TEXT, "wls_residuals")
+    pilot_factor: float = key(NUMBER, RddSpec.pilot_factor)
+    variance: str = key(TEXT, RddSpec.variance)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -349,8 +349,6 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     if isinstance(value, float):
         return value if math.isfinite(value) else None
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        return _jsonify(value.item())
     return value
 
 
@@ -453,13 +451,7 @@ def _prepare(config: RunConfig, base_dir: Path):
         for sdef in config.series:
             with _stage("aggregate", f"{sdef.label}/{vintage.label}"):
                 cat = config.resolve_category_set(sdef.category_set)
-                series_map[(sdef.label, vintage.label)] = aggregate_series(
-                    kept,
-                    cat,
-                    span,
-                    vintage_cutoff=vintage.cutoff,
-                    label=sdef.label,
-                )
+                series_map[(sdef.label, vintage.label)] = aggregate_series(kept, cat, span, label=sdef.label)
     return records, series_map
 
 
@@ -473,14 +465,15 @@ def _audit(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]
             )
             reconstructed = series_map[(audit.series, audit.vintage)]
             paired = coefficient_audit(target, reconstructed, config.trend_spec(LEVELS))
+            comparison = paired.comparison
             record = {
                 "label": audit.label,
                 "series": audit.series,
                 "vintage": audit.vintage,
-                "correlation": paired.comparison.correlation,
-                "max_abs_diff": paired.comparison.max_abs_diff,
-                "n_overlap": paired.comparison.n_overlap,
-                "means": {"extracted": asdict(paired.means_a), "reconstructed": asdict(paired.means_b)},
+                "correlation": comparison.correlation,
+                "max_abs_diff": comparison.max_abs_diff,
+                "n_overlap": comparison.n_overlap,
+                "means": {"extracted": asdict(comparison.means_a), "reconstructed": asdict(comparison.means_b)},
                 "coefficients": {
                     "extracted": _audit_coef(paired.fit_a),
                     "reconstructed": _audit_coef(paired.fit_b),
@@ -500,7 +493,7 @@ def _audit(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]
                 )
                 record["vintage_search"] = {
                     "best": format_timestamp(search.best),
-                    "metric": search.distance_metric,
+                    "metric": audit.metric,
                     "candidates": [
                         [format_timestamp(when), dist] for when, dist in search.candidates
                     ],

@@ -26,7 +26,7 @@ from datetime import date
 import numpy as np
 from scipy import special
 
-from .errors import EstimationError, SpecError, require_choice
+from .errors import EstimationError, SpecError, require_choice, require_finite
 from .months import month_diff, month_index
 from .series import MonthlySeries
 
@@ -44,8 +44,6 @@ _DERIV_ORDER = {LEVEL: 0, SLOPE: 1}
 _NN_NEIGHBORS = 3  # neighbors averaged by the nearest-neighbor variance
 _DEFAULT_P = {LEVEL: 1, SLOPE: 2}
 _Z95 = 1.96
-
-DEFAULT_BANDWIDTH_SAMPLE = (date(2012, 1, 1), date(2020, 12, 1))
 
 
 def _kernel_weight(u, kernel):
@@ -72,13 +70,15 @@ class RddSpec:
     poly_order: int | None = None
     kernel: str = TRIANGULAR
     bandwidth: float | str = MSE_OPTIMAL
-    bandwidth_sample: tuple[date, date] = DEFAULT_BANDWIDTH_SAMPLE
+    bandwidth_sample: tuple[date, date] = (date(2012, 1, 1), date(2020, 12, 1))
     pilot_factor: float = 1.5
     variance: str = WLS_RESIDUALS
 
     def __post_init__(self):
         require_choice("estimand", self.estimand, tuple(_DERIV_ORDER))
         require_choice("kernel", self.kernel, KERNELS)
+        for name in ("bandwidth", "pilot_factor"):
+            require_finite(name, getattr(self, name))
         if self.poly_order is not None and self.poly_order < self.derivative_order:
             order = self.derivative_order
             raise SpecError("poly_order", f"must be >= {order} for {self.estimand}, got {self.poly_order}")

@@ -89,7 +89,6 @@ def compare_series(
 class VintageSearchResult:
     candidates: tuple[tuple[datetime, float], ...]
     best: datetime
-    distance_metric: str
 
 
 def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> float:
@@ -125,17 +124,10 @@ def search_vintage_date(
     scored: list[tuple[datetime, float]] = []
     for cutoff in candidate_dates:
         policy = VintagePolicy(cutoff_instant=cutoff)
-        reconstructed = aggregate_series(
-            apply_vintage(raw_records, policy),
-            category_set,
-            span,
-            vintage_cutoff=policy.cutoff_instant,
-        )
+        reconstructed = aggregate_series(apply_vintage(raw_records, policy), category_set, span)
         scored.append((policy.cutoff_instant, _distance(target, reconstructed, metric)))
     best = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
-    return VintageSearchResult(
-        candidates=tuple(scored), best=best, distance_metric=metric
-    )
+    return VintageSearchResult(candidates=tuple(scored), best=best)
 
 
 @dataclass(frozen=True)
@@ -144,8 +136,6 @@ class CoefficientAudit:
 
     fit_a: TrendBreakFit
     fit_b: TrendBreakFit
-    means_a: SegmentMeans
-    means_b: SegmentMeans
     comparison: SeriesComparison
 
 
@@ -153,13 +143,8 @@ def coefficient_audit(
     a: MonthlySeries, b: MonthlySeries, spec: TrendBreakSpec
 ) -> CoefficientAudit:
     """Fit the trend-break model on both series and pair the results."""
-    fit_a = fit_trend_break(a, spec)
-    fit_b = fit_trend_break(b, spec)
-    comparison = compare_series(a, b, spec.cutoff_month)
     return CoefficientAudit(
-        fit_a=fit_a,
-        fit_b=fit_b,
-        means_a=comparison.means_a,
-        means_b=comparison.means_b,
-        comparison=comparison,
+        fit_a=fit_trend_break(a, spec),
+        fit_b=fit_trend_break(b, spec),
+        comparison=compare_series(a, b, spec.cutoff_month),
     )

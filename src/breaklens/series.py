@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime
+from datetime import date
 from typing import Iterator
 
 import numpy as np
@@ -35,8 +35,6 @@ TRANSFORMS = (LEVELS, LOG)
 class SeriesMeta:
     """Provenance carried alongside the values."""
 
-    category_set: str | None = None
-    vintage_cutoff: datetime | None = None
     transform: str = LEVELS
     label: str | None = None
     n_nonpositive: int = 0  # values dropped by the log transform

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DataError, RecordParseError
 from .months import as_utc, month_index, month_range, parse_period, parse_timestamp
-from .series import LEVELS, MonthlySeries, SeriesMeta
+from .series import MonthlySeries, SeriesMeta
 
 RECORD_COLUMNS = (
     "period",
@@ -412,7 +412,6 @@ def aggregate_series(
     category_set: CategorySet,
     months: tuple[date, date],
     *,
-    vintage_cutoff: datetime | None = None,
     label: str | None = None,
 ) -> MonthlySeries:
     """Sum matching records into a monthly series in USD millions.
@@ -436,13 +435,7 @@ def aggregate_series(
             f"{duplicates} duplicate period/reporter/partner/hs2 rows summed "
             f"while aggregating {category_set.name!r}"
         )
-    meta = SeriesMeta(
-        category_set=category_set.name,
-        vintage_cutoff=vintage_cutoff,
-        transform=LEVELS,
-        label=label or category_set.name,
-    )
-    return MonthlySeries(start, totals, meta)
+    return MonthlySeries(start, totals, SeriesMeta(label=label or category_set.name))
 
 
 def category_share(

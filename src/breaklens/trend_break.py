@@ -5,8 +5,11 @@ Fits ``y = a0 + a1 D + a2 t + a3 t D`` where t counts months from the cutoff
 in level, a3 the change in monthly slope. Because the model is saturated,
 (a0, a2) equal the pre-segment line and (a0+a1, a2+a3) the post-segment line.
 
-Also provides the pre-trend counterfactual projection and its feasibility
-diagnostic: a levels projection that crosses zero cannot describe imports.
+The fit owns the gap between its post line and the pre-trend counterfactual,
+a1 + a3 t (``TrendBreakFit.gap``). ``counterfactual_projection`` lays the
+pre-trend line out month by month, and ``feasibility_check`` finds the first
+month it goes below zero: a levels projection that crosses zero cannot
+describe imports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import EstimationError, SpecError, require_choice
+from .errors import EstimationError, SpecError, require_choice, require_finite
 from .months import add_months, format_month
 from .ols import CLASSICAL, SE_TYPES, fit_ols
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries
@@ -49,6 +52,8 @@ class TrendBreakSpec:
         object.__setattr__(
             self, "cutoff_month", date(self.cutoff_month.year, self.cutoff_month.month, 1)
         )
+        for name in ("pre_window", "post_window", "hac_lags"):
+            require_finite(name, getattr(self, name))
         for name in ("pre_window", "post_window"):
             if getattr(self, name) < 3:
                 raise SpecError(name, f"must be >= 3 months, got {getattr(self, name)}")
@@ -93,6 +98,10 @@ class TrendBreakFit:
     @property
     def coefficients(self) -> tuple[float, float, float, float]:
         return (self.alpha0, self.alpha1, self.alpha2, self.alpha3)
+
+    def gap(self, t: float) -> float:
+        """Fitted post line minus the pre-trend counterfactual at t: a1 + a3 t."""
+        return self.alpha1 + self.alpha3 * t
 
 
 def log_transform(series: MonthlySeries) -> MonthlySeries:
@@ -212,46 +221,17 @@ class CounterfactualPath:
 
     months: tuple[date, ...]
     values: tuple[float, ...]
-    zero_crossing_t: int | None
-    zero_crossing_month: date | None
-    alpha1: float
-    alpha3: float
     transform: str
-
-    def gap(self, t: float) -> float:
-        """Fitted post line minus counterfactual at t: a1 + a3 t."""
-        return self.alpha1 + self.alpha3 * t
 
 
 def counterfactual_projection(fit: TrendBreakFit, horizon: int) -> CounterfactualPath:
-    """Project the pre-break line over t in [0, horizon].
-
-    In levels the first month strictly below zero (if any) is reported; a
-    projection of imports below zero is infeasible by construction.
-    """
+    """Project the pre-break line over t in [0, horizon]."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     cutoff = fit.spec.cutoff_month
     months = tuple(add_months(cutoff, t) for t in range(horizon + 1))
     values = tuple(fit.alpha0 + fit.alpha2 * t for t in range(horizon + 1))
-    crossing_t = None
-    if fit.spec.transform == LEVELS:
-        # strictly below zero beyond rounding error, so a projection that
-        # touches zero exactly does not count as crossing
-        tol = 1e-9 * max(1.0, abs(fit.alpha0))
-        for t, v in enumerate(values):
-            if v < -tol:
-                crossing_t = t
-                break
-    return CounterfactualPath(
-        months=months,
-        values=values,
-        zero_crossing_t=crossing_t,
-        zero_crossing_month=None if crossing_t is None else months[crossing_t],
-        alpha1=fit.alpha1,
-        alpha3=fit.alpha3,
-        transform=fit.spec.transform,
-    )
+    return CounterfactualPath(months=months, values=values, transform=fit.spec.transform)
 
 
 @dataclass(frozen=True)
@@ -262,16 +242,20 @@ class FeasibilityResult:
 
 
 def feasibility_check(path: CounterfactualPath) -> FeasibilityResult:
-    """Flag a levels projection that implies negative imports inside the horizon."""
+    """Flag a levels projection that implies negative imports inside the horizon.
+
+    The first month strictly below zero (if any) is reported; a projection of
+    imports below zero is infeasible by construction.
+    """
     if path.transform != LEVELS:
         raise ValueError("feasibility defined on levels only")
-    if path.zero_crossing_t is None:
-        return FeasibilityResult(feasible=True)
-    return FeasibilityResult(
-        feasible=False,
-        infeasible_at_t=path.zero_crossing_t,
-        infeasible_at_month=path.zero_crossing_month,
-    )
+    # strictly below zero beyond rounding error, so a projection that touches
+    # zero exactly does not count as crossing; values[0] is a0
+    tol = 1e-9 * max(1.0, abs(path.values[0]))
+    for t, v in enumerate(path.values):
+        if v < -tol:
+            return FeasibilityResult(feasible=False, infeasible_at_t=t, infeasible_at_month=path.months[t])
+    return FeasibilityResult(feasible=True)
 
 
 def annualize_log_slope(b: float) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from breaklens.pipeline import _prepare, load_config
 from breaklens.rdd_local_poly import RddSpec, rd_estimate, rd_estimate_xy
 from breaklens.replication_audit import coefficient_audit, search_vintage_date
 from breaklens.series import MonthlySeries, read_series_csv
@@ -306,7 +307,18 @@ def replication_records():
 
 def _vintage_series(records, category, cutoff):
     kept = records if cutoff is None else apply_vintage(records, VintagePolicy(cutoff_instant=cutoff))
-    return aggregate_series(kept, category, REPLICATION_SPAN, vintage_cutoff=cutoff)
+    return aggregate_series(kept, category, REPLICATION_SPAN)
+
+
+def test_vintage_series_helper_matches_demo_run(fixtures_dir):
+    """The helper of criteria 9-12, which run only with the replication data,
+    builds the series that the demo run aggregates for one set and vintage."""
+    config = load_config(fixtures_dir / "demo_config.json")
+    _, series_map = _prepare(config, fixtures_dir)
+    want = series_map[("anova_food", "2020-10-01")]
+    got = _vintage_series(parse_records(fixtures_dir / config.data_file), ANOVA_FOOD, OCT_2020)
+    assert (got.start_month, got.end_month) == (want.start_month, want.end_month)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 TABLE3_CELLS = {

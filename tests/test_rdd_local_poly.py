@@ -442,6 +442,10 @@ class TestSpecValidation:
             ("variance", "nearest-neighbour"),
             ("bandwidth", "optimal"),
             ("pilot_factor", 0.5),
+            ("bandwidth", math.inf),
+            ("bandwidth", math.nan),
+            ("pilot_factor", math.inf),
+            ("pilot_factor", math.nan),
         ],
     )
     def test_misspelled_or_out_of_range_field_rejected(self, field, value):

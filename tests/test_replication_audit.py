@@ -1,3 +1,4 @@
+import math
 from datetime import date
 
 import numpy as np
@@ -12,7 +13,16 @@ from breaklens.replication_audit import (
 from breaklens.series import MonthlySeries, SeriesMeta
 from breaklens.trade_ingest import ANOVA_FOOD, aggregate_series
 from breaklens.trend_break import TrendBreakSpec
-from util import CUTOFF, WINDOW_START, piecewise, record, records_of, series_from_fn, ts
+from util import (
+    CUTOFF,
+    WINDOW_START,
+    piecewise,
+    record,
+    records_of,
+    reference_series,
+    series_from_fn,
+    ts,
+)
 
 SPEC = TrendBreakSpec(cutoff_month=CUTOFF)
 
@@ -134,16 +144,18 @@ class TestVintageSearch:
 
     def test_rms_metric_flag(self):
         records = self._planted_records()
-        target = aggregate_series(records, ANOVA_FOOD, (date(2017, 1, 1), date(2017, 12, 1)))
-        result = search_vintage_date(
-            records,
-            target,
-            [ts(2020, 10, 1), ts(2021, 1, 1)],
-            ANOVA_FOOD,
-            metric="rms_difference",
-        )
-        assert result.distance_metric == "rms_difference"
+        span = (date(2017, 1, 1), date(2017, 12, 1))
+        full = aggregate_series(records, ANOVA_FOOD, span)
+        # a missing target month leaves 11 months of overlap
+        target = MonthlySeries(full.start_month, [None, *full.values[1:]])
+        candidates = [ts(2020, 10, 1), ts(2020, 11, 1), ts(2021, 1, 1)]
+        result = search_vintage_date(records, target, candidates, ANOVA_FOOD, metric="rms_difference")
         assert result.best == ts(2021, 1, 1)
+        for (when, distance), cutoff in zip(result.candidates, candidates):
+            assert when == cutoff
+            reconstructed, _ = reference_series(records, ANOVA_FOOD, span, cutoff)
+            diffs = [(a - b) ** 2 for a, b in zip(target.values[1:].tolist(), reconstructed[1:])]
+            assert distance == pytest.approx(math.sqrt(sum(diffs) / len(diffs)), rel=1e-12)
 
     def test_distance_shrinks_toward_planted_cutoff(self):
         # submissions accrue monotonically, so later candidates (closer to
@@ -186,4 +198,5 @@ class TestCoefficientAudit:
         assert audit.fit_b.alpha1 == pytest.approx(audit.fit_a.alpha1, abs=1e-8)
         assert audit.fit_b.alpha2 == pytest.approx(audit.fit_a.alpha2, abs=1e-8)
         assert audit.fit_b.alpha3 == pytest.approx(audit.fit_a.alpha3, abs=1e-8)
-        assert audit.means_b.overall == pytest.approx(audit.means_a.overall + 25.0)
+        means_a, means_b = audit.comparison.means_a, audit.comparison.means_b
+        assert means_b.overall == pytest.approx(means_a.overall + 25.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from breaklens.errors import EstimationError
+from breaklens.errors import EstimationError, SpecError
 from breaklens.series import MonthlySeries
 from breaklens.trend_break import (
     TrendBreakSpec,
@@ -216,8 +216,8 @@ class TestCounterfactual:
         fit = fit_trend_break(series_from_fn(piecewise(10, -0.5, 12, 0.2)), SPEC)
         path = counterfactual_projection(fit, 10)
         assert path.values[10] == pytest.approx(5.0, abs=1e-9)
-        assert path.gap(0) == fit.alpha1
-        assert path.gap(7) == pytest.approx(fit.alpha1 + 7 * fit.alpha3)
+        assert fit.gap(0) == fit.alpha1
+        assert fit.gap(7) == pytest.approx(fit.alpha1 + 7 * fit.alpha3)
 
     def test_zero_slope_is_feasible_constant(self):
         fit = fit_trend_break(series_from_fn(piecewise(10, 0.0, 12, 0.0)), SPEC)
@@ -239,7 +239,8 @@ class TestCounterfactual:
         for t in (0, 5, 28):
             fitted_post = (fit.alpha0 + fit.alpha1) + (fit.alpha2 + fit.alpha3) * t
             cf = fit.alpha0 + fit.alpha2 * t
-            assert path.gap(t) == pytest.approx(fitted_post - cf, abs=1e-9)
+            assert cf == path.values[t]
+            assert fit.gap(t) == pytest.approx(fitted_post - cf, abs=1e-9)
 
     def test_log_path_rejects_feasibility(self):
         s = series_from_fn(lambda t: 30.0 * math.exp(-0.02 * t))
@@ -275,6 +276,24 @@ class TestSegmentTrend:
         s = MonthlySeries(WINDOW_START, tuple(values))
         with pytest.raises(EstimationError):
             segment_trend(s, SPEC, "pre")
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pre_window", 2),
+            ("post_window", 0),
+            ("hac_lags", -1),
+            ("transform", "logs"),
+            ("se_type", "hac"),
+            *[(f, v) for f in ("pre_window", "post_window", "hac_lags") for v in (math.nan, math.inf)],
+        ],
+    )
+    def test_out_of_range_or_non_finite_field_rejected(self, field, value):
+        with pytest.raises(SpecError) as err:
+            TrendBreakSpec(cutoff_month=CUTOFF, **{field: value})
+        assert err.value.field == field
 
 
 class TestAnnualize:
