@@ -87,13 +87,15 @@ def _cmd_ingest(args) -> int:
             f"choose from {', '.join(sorted(BUILTIN_CATEGORY_SETS))}"
         )
     category = BUILTIN_CATEGORY_SETS[args.series]
-    records = parse_records(args.data)
+    policy = None
     if args.vintage is not None:
         try:
-            cutoff = parse_timestamp(args.vintage)
+            policy = VintagePolicy(cutoff_instant=parse_timestamp(args.vintage))
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        records = apply_vintage(records, VintagePolicy(cutoff_instant=cutoff))
+    records = parse_records(args.data)
+    if policy is not None:
+        records = apply_vintage(records, policy)
     if len(records) == 0:
         raise DataError("no records remain after the vintage filter")
     span = (records.period.min().item(), records.period.max().item())

@@ -7,6 +7,7 @@ DataError -> 2, EstimationError -> 3.
 from __future__ import annotations
 
 import math
+import numbers
 
 
 class BreaklensError(Exception):
@@ -30,8 +31,17 @@ def require_choice(field: str, value, choices: tuple[str, ...]) -> None:
         raise SpecError(field, f"must be one of {', '.join(choices)}, got {value!r}")
 
 
-def require_finite(field: str, value) -> None:
-    if isinstance(value, float) and not math.isfinite(value):
+def require_integer(field: str, value) -> None:
+    """A Python or NumPy integer; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(field, f"must be an integer, got {value!r}")
+
+
+def require_number(field: str, value) -> None:
+    """A finite integer or float; a boolean is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(field, f"must be a number, got {value!r}")
+    if not math.isfinite(value):
         raise SpecError(field, f"must be finite, got {value}")
 
 

@@ -257,8 +257,9 @@ class RunConfig:
         for name in ("series", "vintages", "transforms"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must not be empty")
-        series = _unique_labels("series", self.series)
-        vintages = _unique_labels("vintages", self.vintages)
+        series = _unique("series", [s.label for s in self.series])
+        vintages = _unique("vintages", [v.label for v in self.vintages])
+        _unique("transforms", self.transforms)
         _require_file(base_dir, "data_file", self.data_file)
         for name, codes in self.category_sets.items():
             try:
@@ -281,6 +282,7 @@ class RunConfig:
         if self.rdd is not None:
             if self.rdd.vintage not in vintages:
                 raise ConfigError(f"rdd.vintage: {self.rdd.vintage!r} is not declared")
+            _unique("rdd.estimands", self.rdd.estimands)
             for estimand in self.rdd.estimands:
                 self.rdd_spec(estimand)
         for i, a in enumerate(self.audits):
@@ -303,11 +305,12 @@ def _spec(cls, settings, section: str, paths: dict[str, str], **extra):
         raise ConfigError(f"{paths.get(e.field, f'{section}.{e.field}')}: {e.message}") from e
 
 
-def _unique_labels(path: str, entries) -> set[str]:
-    labels = [e.label for e in entries]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"{path}: labels must be unique")
-    return set(labels)
+def _unique(path: str, values) -> set[str]:
+    """The set of ``values``; a value that repeats is a ConfigError on ``path``."""
+    for value in values:
+        if values.count(value) > 1:
+            raise ConfigError(f"{path}: {value!r} appears more than once")
+    return set(values)
 
 
 def _require_file(base_dir: Path, path: str, name: str) -> None:
@@ -321,7 +324,7 @@ def load_config(path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSON syntax error, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {e}") from e
     return RunConfig.from_dict(raw)
 
@@ -613,7 +616,7 @@ def _write_audit_csv(audit_records: list[dict], path: Path) -> None:
         for r in audit_records:
             for statistic, _, _, ex, rc in audit_rows(r):
                 writer.writerow([r["label"], statistic, *_csv_side(ex), *_csv_side(rc)])
-            if r.get("vintage_search"):
+            if r["vintage_search"]:
                 writer.writerow([r["label"], "best_vintage", r["vintage_search"]["best"], "", "", ""])
 
 

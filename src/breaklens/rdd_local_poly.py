@@ -26,7 +26,7 @@ from datetime import date
 import numpy as np
 from scipy import special
 
-from .errors import EstimationError, SpecError, require_choice, require_finite
+from .errors import EstimationError, SpecError, require_choice, require_integer, require_number
 from .months import month_diff, month_index
 from .series import MonthlySeries
 
@@ -77,16 +77,19 @@ class RddSpec:
     def __post_init__(self):
         require_choice("estimand", self.estimand, tuple(_DERIV_ORDER))
         require_choice("kernel", self.kernel, KERNELS)
-        for name in ("bandwidth", "pilot_factor"):
-            require_finite(name, getattr(self, name))
-        if self.poly_order is not None and self.poly_order < self.derivative_order:
-            order = self.derivative_order
-            raise SpecError("poly_order", f"must be >= {order} for {self.estimand}, got {self.poly_order}")
+        if self.poly_order is not None:
+            require_integer("poly_order", self.poly_order)
+            if self.poly_order < self.derivative_order:
+                order = self.derivative_order
+                raise SpecError("poly_order", f"must be >= {order} for {self.estimand}, got {self.poly_order}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != MSE_OPTIMAL:
                 raise SpecError("bandwidth", f"must be {MSE_OPTIMAL!r} or a number, got {self.bandwidth!r}")
-        elif self.bandwidth <= 0:
-            raise SpecError("bandwidth", f"must be positive, got {self.bandwidth}")
+        else:
+            require_number("bandwidth", self.bandwidth)
+            if self.bandwidth <= 0:
+                raise SpecError("bandwidth", f"must be positive, got {self.bandwidth}")
+        require_number("pilot_factor", self.pilot_factor)
         if self.pilot_factor < 1.0:
             raise SpecError("pilot_factor", f"must be >= 1, got {self.pilot_factor}")
         require_choice("variance", self.variance, VARIANCES)
@@ -163,14 +166,14 @@ def _fit_side(u, y, p, h, kernel, label) -> _SideFit:
 
 
 def _nn_sigma2(u, y, points) -> np.ndarray:
-    """Nearest-neighbor variance at the requested point indices (same side)."""
+    """Nearest-neighbor variance at the requested point indices (same side).
+
+    The side has at least 2 points: its pilot fit, run first, needs p+2."""
     sigma2 = np.zeros(len(points))
+    j = min(_NN_NEIGHBORS, len(u) - 1)
     for k, i in enumerate(points):
         d = np.abs(u - u[i])
         d[i] = np.inf
-        j = min(_NN_NEIGHBORS, len(u) - 1)
-        if j < 1:
-            raise EstimationError("nearest-neighbor variance needs >= 2 points per side")
         nn = np.argpartition(d, j - 1)[:j]
         sigma2[k] = (y[i] - y[nn].mean()) ** 2 * j / (j + 1.0)
     return sigma2
@@ -283,11 +286,9 @@ def _curvature_and_variance(u, y, p, label):
 
 
 def _min_admitting_h(u, k, kernel, pad) -> float:
-    """Smallest bandwidth giving k points positive weight on this side."""
-    dist = np.sort(np.abs(u))
-    if len(dist) < k:
-        raise EstimationError(f"side has {len(dist)} points, need >= {k}")
-    d = float(dist[k - 1])
+    """Smallest bandwidth giving k points positive weight on this side (the
+    curvature fit has already required more than k points)."""
+    d = float(np.sort(np.abs(u))[k - 1])
     return d if kernel == UNIFORM else d + pad
 
 
@@ -307,9 +308,7 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
     bias_gap = curv_r - ((-1.0) ** (p + 1 + nu)) * curv_l
 
     tt = np.concatenate([ul, ur])
-    spread = float(np.std(tt))
-    if spread <= 0:
-        raise EstimationError("running variable is degenerate")
+    spread = float(np.std(tt))  # > 0: each curvature fit had p+3 distinct months
     exponent = 1.0 / (2 * p + 3)
 
     scale = max(1.0, float(np.std(np.concatenate([yl, yr]))))

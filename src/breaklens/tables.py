@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import warnings
 
-MISSING_CELL = "—"  # missing results render as an em dash
+JUMPS = (("level", "Change in level"), ("slope", "Change in slope"))
 
 
 def significance_stars(p: float) -> str:
-    """*** p<0.01, ** p<0.05, * p<0.10."""
-    if p is None or not math.isfinite(p):
+    """*** p<0.01, ** p<0.05, * p<0.10; none for a NaN p-value."""
+    if not math.isfinite(p):
         return ""
     if p < 0.01:
         return "***"
@@ -34,14 +33,9 @@ def _layout(rows: list[tuple[str, list[str]]], header: list[str], label_width: i
     return lines
 
 
-def _trend_cell(record: dict | None, which: str) -> str:
-    if record is None:
-        return MISSING_CELL
+def _trend_cell(record: dict, which: str) -> str:
     idx = {"level": "alpha1", "slope": "alpha3"}[which]
-    coef = record["coef"][idx]
-    se = record["se"][idx]
-    p = record["p"][idx]
-    return format_cell(coef, se, p if p is not None else float("nan"))
+    return format_cell(record["coef"][idx], record["se"][idx], record["p"][idx])
 
 
 def render_trend_table(
@@ -50,52 +44,33 @@ def render_trend_table(
     panels: list[tuple[str, str]],
 ) -> str:
     """Panels of (transform, vintage); columns are series; rows are the
-    level and slope discontinuity coefficients formatted 'X.XX*** (S.SS)'."""
+    level and slope discontinuity coefficients formatted 'X.XX*** (S.SS)'.
+    Every (series, transform, vintage) a panel names must have a record."""
     by_key = {(r["series"], r["transform"], r["vintage"]): r for r in records}
     lines = ["Trend interruption estimates", "=" * (22 + 20 * len(series_order))]
     for transform, vintage in panels:
         lines.append(f"Panel: {transform}, vintage {vintage}")
-        rows = []
-        for which, label in (("level", "Change in level"), ("slope", "Change in slope")):
-            cells = []
-            for s in series_order:
-                record = by_key.get((s, transform, vintage))
-                if record is None:
-                    warnings.warn(
-                        f"missing trend cell: series={s} transform={transform} vintage={vintage}"
-                    )
-                cells.append(_trend_cell(record, which))
-            rows.append((label, cells))
+        cells = [by_key[(s, transform, vintage)] for s in series_order]
+        rows = [(label, [_trend_cell(r, which) for r in cells]) for which, label in JUMPS]
         lines.extend(_layout(rows, series_order))
         lines.append("-" * (22 + 20 * len(series_order)))
     return "\n".join(lines) + "\n"
 
 
 def render_rdd_table(records: list[dict], series_order: list[str]) -> str:
-    """Local-polynomial discontinuity estimates; one row pair per estimand."""
+    """Local-polynomial discontinuity estimates: one row pair per estimand in
+    the records, level before slope, each with a record for every series."""
     by_key = {(r["series"], r["estimand"]): r for r in records}
-    transforms = sorted({r["transform"] for r in records})
-    vintages = sorted({r["vintage"] for r in records})
-    title = "Regression discontinuity estimates"
-    if transforms and vintages:
-        title += f" ({', '.join(transforms)}; vintage {', '.join(vintages)})"
+    transforms = ", ".join(sorted({r["transform"] for r in records}))
+    vintages = ", ".join(sorted({r["vintage"] for r in records}))
+    title = f"Regression discontinuity estimates ({transforms}; vintage {vintages})"
     lines = [title, "=" * (22 + 20 * len(series_order))]
     rows = []
-    for estimand, label in (("level", "Change in level"), ("slope", "Change in slope")):
-        cells, bw_cells = [], []
-        for s in series_order:
-            record = by_key.get((s, estimand))
-            if record is None:
-                warnings.warn(f"missing discontinuity cell: series={s} estimand={estimand}")
-                cells.append(MISSING_CELL)
-                bw_cells.append(MISSING_CELL)
-            else:
-                cells.append(
-                    format_cell(record["tau"], record["se_conventional"], record["p_robust"])
-                )
-                bw_cells.append(f"{record['h_months']:.1f}")
-        rows.append((label, cells))
-        rows.append(("  bandwidth (months)", bw_cells))
+    for estimand, label in JUMPS:
+        if any(r["estimand"] == estimand for r in records):
+            cells = [by_key[(s, estimand)] for s in series_order]
+            rows.append((label, [format_cell(r["tau"], r["se_conventional"], r["p_robust"]) for r in cells]))
+            rows.append(("  bandwidth (months)", [f"{r['h_months']:.1f}" for r in cells]))
     lines.extend(_layout(rows, series_order))
     return "\n".join(lines) + "\n"
 
@@ -141,7 +116,7 @@ def render_audit_table(records: list[dict]) -> str:
             for _, label, fmt, ex, rc in audit_rows(record)
         ]
         lines.extend(_layout(rows, list(AUDIT_SIDES)))
-        if record.get("vintage_search"):
+        if record["vintage_search"]:
             lines.append(
                 f"Best vintage cutoff: {record['vintage_search']['best']} "
                 f"({record['vintage_search']['metric']})"
@@ -152,17 +127,12 @@ def render_audit_table(records: list[dict]) -> str:
 
 def render_tables(results: dict) -> dict[str, str]:
     """Render every table the results bundle supports, keyed by name."""
-    tables = {}
-    layout = results.get("layout", {})
-    series_order = layout.get("series", [])
-    if results.get("trend_break"):
-        tables["trend_table"] = render_trend_table(
-            results["trend_break"],
-            series_order,
-            [tuple(p) for p in layout.get("panels", [])],
-        )
-    if results.get("rdd"):
+    layout = results["layout"]
+    series_order = layout["series"]
+    panels = [tuple(p) for p in layout["panels"]]
+    tables = {"trend_table": render_trend_table(results["trend_break"], series_order, panels)}
+    if results["rdd"]:
         tables["rdd_table"] = render_rdd_table(results["rdd"], series_order)
-    if results.get("audit"):
+    if results["audit"]:
         tables["audit_table"] = render_audit_table(results["audit"])
     return tables

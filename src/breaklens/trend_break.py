@@ -21,7 +21,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import EstimationError, SpecError, require_choice, require_finite
+from .errors import EstimationError, SpecError, require_choice, require_integer
 from .months import add_months, format_month
 from .ols import CLASSICAL, SE_TYPES, fit_ols
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries
@@ -52,15 +52,16 @@ class TrendBreakSpec:
         object.__setattr__(
             self, "cutoff_month", date(self.cutoff_month.year, self.cutoff_month.month, 1)
         )
-        for name in ("pre_window", "post_window", "hac_lags"):
-            require_finite(name, getattr(self, name))
         for name in ("pre_window", "post_window"):
+            require_integer(name, getattr(self, name))
             if getattr(self, name) < 3:
                 raise SpecError(name, f"must be >= 3 months, got {getattr(self, name)}")
         require_choice("transform", self.transform, TRANSFORMS)
         require_choice("se_type", self.se_type, SE_TYPES)
-        if self.hac_lags is not None and self.hac_lags < 0:
-            raise SpecError("hac_lags", f"must be >= 0, got {self.hac_lags}")
+        if self.hac_lags is not None:
+            require_integer("hac_lags", self.hac_lags)
+            if self.hac_lags < 0:
+                raise SpecError("hac_lags", f"must be >= 0, got {self.hac_lags}")
 
     @property
     def window_start(self) -> date:

@@ -79,7 +79,7 @@ def valid_configs(draw):
         start, end = sorted(draw(st.lists(months(), min_size=2, max_size=2)))
         raw["rdd"] = {
             "cutoff_month": draw(months()),
-            "estimands": draw(st.lists(st.sampled_from(["level", "slope"]), max_size=2)),
+            "estimands": draw(st.lists(st.sampled_from(["level", "slope"]), max_size=2, unique=True)),
             "kernel": draw(st.sampled_from(KERNELS)),
             "bandwidth": draw(
                 st.just("mse_optimal") | st.integers(1, 40) | st.floats(0.5, 40.0)

@@ -191,6 +191,19 @@ class TestPipelineRun:
         assert audit["correlation"] > 0.999
         assert audit["vintage_search"]["best"] == "2020-10-01T00:00:00Z"
 
+    def test_one_estimand_renders_only_its_rows(self, fixtures_dir_module, tmp_path):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["rdd"]["estimands"] = ["level"]
+        config = RunConfig.from_dict(raw)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, out_path = run_pipeline(config, fixtures_dir_module, out_dir=tmp_path / "out")
+        table = (out_path / "tables" / "rdd_table.txt").read_text(encoding="utf-8")
+        assert [r["estimand"] for r in results["rdd"]] == ["level"] * 3
+        assert "Change in level" in table and "slope" not in table
+        # the log transform's nonpositive-value warnings are the only ones
+        assert all("log transform dropped" in str(w.message) for w in caught)
+
     def test_no_timestamps_in_results(self, demo_run):
         _, _, out_path = demo_run
         payload = json.loads((out_path / "results.json").read_text())
@@ -417,6 +430,31 @@ class TestCli:
         assert err.startswith("data error:")
         assert f"{data}: {message}\n" in err
 
+    def test_ingest_checks_the_vintage_before_reading_the_data(self, tmp_path, capsys):
+        data = tmp_path / "records.csv"
+        data.write_text("period,reporter_code\n201504,VEN\n", encoding="utf-8")
+        argv = ["ingest", "--data", str(data), "--vintage", "garbage"]
+        assert main(argv + ["--series", "anova_food", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: invalid ISO-8601 timestamp: 'garbage'\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (None, "cannot read config: "),
+            (b'{"data_file": ', "config is not valid JSON: "),
+            (b'{"data_file": "\xff"}', "config is not valid JSON: "),
+        ],
+        ids=["missing", "truncated", "not-utf8"],
+    )
+    def test_unreadable_config_exit_one(self, body, message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        if body is not None:
+            config.write_bytes(body)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize(
         "vintage, code, message",
         [
@@ -510,6 +548,12 @@ BAD_INPUTS = [
     ("panels", [["levels"]], "panels[0]"),
     ("vintages[0].cutoff", 5, "vintages[0].cutoff"),
     ("seed", "abc", "seed"),
+    ("transforms", ["log", "log"], "transforms"),
+    ("rdd.estimands", ["level", "level"], "rdd.estimands"),
+    ("trend_break.pre_windw", 28, "trend_break.pre_windw"),
+    ("series[1].label", "anova_food", "series"),
+    ("trend_break.pre_window", 30000, "trend_break"),
+    ("category_sets", {"odd": ["00"]}, "category_sets.odd"),
 ]
 
 

@@ -426,6 +426,36 @@ class TestRobustCi:
         assert nn.se_robust != wls.se_robust
 
 
+class TestEarlierCheckDecides:
+    """Inputs that would need a further check in the fit are stopped, with
+    their own message, by a check that runs before it."""
+
+    def test_one_point_side_stopped_by_its_pilot_fit_before_neighbor_variance(self):
+        # order 0: the main fit takes the lone t = 0 point, its pilot needs 2
+        t = np.arange(-20.0, 1.0)
+        spec = RddSpec(cutoff_month=CUTOFF, poly_order=0, bandwidth=5.0, variance="nearest_neighbor")
+        message = r"right pilot \(b=7\.5\): only 1 observations carry positive weight inside h=7\.5, need >= 2"
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            rd_estimate_xy(t, np.sin(t), spec)
+
+    def test_side_below_p_plus_2_points_stopped_by_curvature_count(self):
+        t = np.concatenate([np.arange(-30.0, 0.0), [0.0, 1.0]])
+        message = "right side has 2 observations, need >= 5 for the order-3 curvature fit"
+        with pytest.raises(EstimationError, match=f"^{message}$"):
+            select_bandwidth_xy(t, np.cos(t), nu=0, p=1)
+
+    def test_single_month_stopped_by_curvature_rank_before_spread(self):
+        t = np.full(10, -3.0)
+        with pytest.raises(EstimationError, match="^left side curvature fit is rank deficient$"):
+            select_bandwidth_xy(t, np.arange(10.0), nu=0, p=1)
+
+    def test_near_singular_local_design(self):
+        t = np.arange(-67.0, 41.0)
+        spec = RddSpec(cutoff_month=CUTOFF, poly_order=10, bandwidth=20)
+        with pytest.raises(EstimationError, match=r"^left side: singular local design \(p=10, h=20"):
+            rd_estimate_xy(t, np.sin(t), spec)
+
+
 class TestSpecValidation:
     def test_order_below_derivative_rejected(self):
         with pytest.raises(ValueError):
@@ -446,12 +476,25 @@ class TestSpecValidation:
             ("bandwidth", math.nan),
             ("pilot_factor", math.inf),
             ("pilot_factor", math.nan),
+            ("poly_order", 1.5),
+            ("poly_order", True),
+            ("bandwidth", True),
+            ("pilot_factor", True),
+            ("pilot_factor", "2"),
         ],
     )
     def test_misspelled_or_out_of_range_field_rejected(self, field, value):
         with pytest.raises(SpecError) as err:
             RddSpec(cutoff_month=CUTOFF, **{field: value})
         assert err.value.field == field
+
+    def test_numpy_numbers_accepted(self):
+        spec = RddSpec(
+            cutoff_month=CUTOFF, poly_order=np.int64(2), bandwidth=np.int64(12), pilot_factor=np.float64(2.0)
+        )
+        t, y = step_series().to_arrays(CUTOFF)
+        fit = rd_estimate_xy(t, y, spec)
+        assert fit.poly_order == 2 and fit.h_used == 12.0 and fit.b_used == 24.0
 
     def test_fit_takes_no_tuning_keywords(self):
         # a misspelled variance or bandwidth keyword used to run silently

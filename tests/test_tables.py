@@ -1,7 +1,6 @@
 import pytest
 
 from breaklens.tables import (
-    MISSING_CELL,
     format_cell,
     render_audit_table,
     render_rdd_table,
@@ -60,13 +59,6 @@ class TestTrendTable:
         assert "0.00 (1.00)" in text
         assert "0.00*" not in text
 
-    def test_missing_cell_renders_dash_with_warning(self):
-        with pytest.warns(UserWarning, match="missing trend cell"):
-            text = render_trend_table(
-                [trend_record("food")], ["food", "ghost"], [("levels", "v1")]
-            )
-        assert MISSING_CELL in text
-
 
 class TestRddTable:
     def test_cells_and_bandwidths(self):
@@ -82,10 +74,26 @@ class TestRddTable:
                 "h_months": 9.2,
             }
         ]
-        with pytest.warns(UserWarning, match="missing discontinuity cell"):
-            text = render_rdd_table(records, ["medicines"])
+        text = render_rdd_table(records, ["medicines"])
         assert "0.68*** (0.18)" in text
         assert "9.2" in text
+
+    def test_one_row_pair_per_estimand_level_first(self):
+        def rdd_record(series, estimand, tau):
+            return {
+                "series": series, "transform": "log", "vintage": "latest", "estimand": estimand,
+                "tau": tau, "se_conventional": 0.1, "p_robust": 0.5, "h_months": 6.0,
+            }
+
+        records = [rdd_record(s, e, tau) for e, tau in (("slope", 0.2), ("level", 0.1)) for s in ("a", "b")]
+        lines = render_rdd_table(records, ["a", "b"]).splitlines()
+        assert lines[0] == "Regression discontinuity estimates (log; vintage latest)"
+        assert [line[:22].rstrip() for line in lines[3:]] == [
+            "Change in level", "  bandwidth (months)", "Change in slope", "  bandwidth (months)",
+        ]
+        assert lines[3].split()[-2:] == ["0.10", "(0.10)"]
+        level_only = render_rdd_table(records[2:], ["a", "b"])
+        assert "Change in level" in level_only and "slope" not in level_only
 
 
 class TestAuditTable:

@@ -134,6 +134,27 @@ class TestFit:
         with pytest.raises(EstimationError):
             fit_trend_break(s, SPEC)
 
+    def test_one_post_month_names_the_segment_counts(self):
+        values = [float(k) for k in range(57)]
+        values[29:] = [None] * 28  # t = 0 is the only present post-cutoff month
+        s = MonthlySeries(WINDOW_START, tuple(values))
+        with pytest.raises(EstimationError, match="got 28 pre and 1 post$"):
+            fit_trend_break(s, SPEC)
+
+    def test_hac_default_lags_follow_the_bartlett_rule(self):
+        s = random_series(np.random.default_rng(4))
+        lags = math.floor(4 * (57 / 100) ** (2 / 9))
+        assert lags == 3
+        default = fit_trend_break(s, TrendBreakSpec(cutoff_month=CUTOFF, se_type="newey_west"))
+        explicit = fit_trend_break(
+            s, TrendBreakSpec(cutoff_month=CUTOFF, se_type="newey_west", hac_lags=lags)
+        )
+        other = fit_trend_break(
+            s, TrendBreakSpec(cutoff_month=CUTOFF, se_type="newey_west", hac_lags=lags + 1)
+        )
+        assert default.se == explicit.se
+        assert default.se != other.se
+
     def test_hac_flag_runs_and_changes_only_inference(self):
         rng = np.random.default_rng(3)
         s = random_series(rng)
@@ -288,12 +309,22 @@ class TestSpecValidation:
             ("transform", "logs"),
             ("se_type", "hac"),
             *[(f, v) for f in ("pre_window", "post_window", "hac_lags") for v in (math.nan, math.inf)],
+            ("pre_window", 28.5),
+            ("post_window", 29.0),
+            ("hac_lags", 2.5),
+            ("hac_lags", True),
         ],
     )
     def test_out_of_range_or_non_finite_field_rejected(self, field, value):
         with pytest.raises(SpecError) as err:
             TrendBreakSpec(cutoff_month=CUTOFF, **{field: value})
         assert err.value.field == field
+
+    def test_numpy_integers_accepted(self):
+        spec = TrendBreakSpec(
+            cutoff_month=CUTOFF, pre_window=np.int64(28), post_window=np.int32(29), hac_lags=np.int64(2)
+        )
+        assert (spec.pre_window, spec.post_window, spec.hac_lags) == (28, 29, 2)
 
 
 class TestAnnualize:
