@@ -6,8 +6,11 @@ DataError -> 2, EstimationError -> 3.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
+import re
+from contextlib import contextmanager
 
 
 class BreaklensError(Exception):
@@ -47,6 +50,25 @@ def require_number(field: str, value) -> None:
 
 class DataError(BreaklensError):
     """Input data is malformed or insufficient."""
+
+
+@contextmanager
+def open_csv(path, line):
+    """``path`` open as UTF-8 text for a CSV reader. A CSV syntax error or a
+    byte that is not UTF-8 becomes a DataError naming the line: ``line()``,
+    the line the reader has reached, or the first undecodable one."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except csv.Error as e:
+        raise DataError(f"{path}: line {line()}: {e}") from e
+    except UnicodeDecodeError as e:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            # an undecodable byte reads as a lone surrogate
+            bad = next((n for n, text in enumerate(fh, 1) if re.search("[\udc80-\udcff]", text)), None)
+        if bad is None:
+            raise DataError(f"{path}: changed while being read") from e
+        raise DataError(f"{path}: line {bad}: not UTF-8: {e.reason}") from e
 
 
 class RecordParseError(DataError):

@@ -64,6 +64,14 @@ def parse_month(s: str) -> date:
     return parse_period(s)
 
 
+def parse_number(s: str) -> float:
+    """Parse a number token as ``float`` does, but ASCII only and without
+    the ``_`` separators that ``float`` reads; it may be non-finite."""
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"not a number: {s!r}")
+    return float(s)
+
+
 def format_month(d: date) -> str:
     return f"{d.year:04d}-{d.month:02d}"
 

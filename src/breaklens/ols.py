@@ -62,7 +62,7 @@ def fit_ols(
         xe = X * residuals[:, None]
         meat = xe.T @ xe
         for j in range(1, min(lags, n - 1) + 1):
-            w = 1.0 - j / (lags + 1.0)
+            w = 1.0 - j / (lags + 1)  # not lags + 1.0, which overflows past the float range
             gamma = xe[j:].T @ xe[:-j]
             meat += w * (gamma + gamma.T)
         cov = xtx_inv @ meat @ xtx_inv * (n / (n - k))

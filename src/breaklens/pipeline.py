@@ -15,7 +15,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -53,7 +53,8 @@ from .trend_break import (
 # Each config key is one field of the frozen dataclasses below, declared with
 # key(kind, default). A kind is a Scalar, a schema dataclass (a JSON object
 # with its keys), [kind, ...] (a list of any length), [kind, kind] (a list of
-# exactly those) or {str: kind} (an object with free keys). Estimator settings
+# exactly those) or {str: kind} (an object with free keys). No entry of a list
+# of any length repeats (in a list of objects, no label). Estimator settings
 # are range-checked by the TrendBreakSpec and RddSpec that validate() builds.
 
 
@@ -88,7 +89,10 @@ def _load(kind, value, path: str):
         if type(value) is not list or not (anylen or len(value) == len(kind)):
             raise _expected(path, "a list" if anylen else f"a list of {len(kind)}", value)
         kinds = kind[:1] * len(value) if anylen else kind
-        return tuple(_load(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+        loaded = tuple(_load(k, v, f"{path}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+        if anylen:
+            _unique(path, [v.label for v in loaded] if is_dataclass(kind[0]) else loaded)
+        return loaded
     if type(value) is not dict:
         raise _expected(path, "an object", value)
     prefix = f"{path}." if path else ""
@@ -251,15 +255,18 @@ class RunConfig:
         return tuple((tr, v.label) for tr in self.transforms for v in self.vintages)
 
     def validate(self, base_dir: Path) -> None:
-        """Check what the typed parse cannot: empty lists, duplicate labels,
-        references between keys, files, the calendar, and the estimator
-        settings, the last by building every spec the run will use."""
+        """Check what the typed parse cannot: empty lists, colliding figure
+        files, references between keys, files, the calendar, and the
+        estimator settings, the last by building every spec the run will use."""
         for name in ("series", "vintages", "transforms"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must not be empty")
-        series = _unique("series", [s.label for s in self.series])
-        vintages = _unique("vintages", [v.label for v in self.vintages])
-        _unique("transforms", self.transforms)
+        series = {s.label for s in self.series}
+        vintages = {v.label for v in self.vintages}
+        cells = [
+            f"{s.label}/{tr}/{v.label}" for s in self.series for v in self.vintages for tr in self.transforms
+        ]
+        _unique("figures", [_figure_file(cell) for cell in cells], cells)
         _require_file(base_dir, "data_file", self.data_file)
         for name, codes in self.category_sets.items():
             try:
@@ -282,7 +289,6 @@ class RunConfig:
         if self.rdd is not None:
             if self.rdd.vintage not in vintages:
                 raise ConfigError(f"rdd.vintage: {self.rdd.vintage!r} is not declared")
-            _unique("rdd.estimands", self.rdd.estimands)
             for estimand in self.rdd.estimands:
                 self.rdd_spec(estimand)
         for i, a in enumerate(self.audits):
@@ -305,12 +311,15 @@ def _spec(cls, settings, section: str, paths: dict[str, str], **extra):
         raise ConfigError(f"{paths.get(e.field, f'{section}.{e.field}')}: {e.message}") from e
 
 
-def _unique(path: str, values) -> set[str]:
-    """The set of ``values``; a value that repeats is a ConfigError on ``path``."""
-    for value in values:
+def _unique(path: str, values, writers=None) -> None:
+    """A value that repeats in ``values`` is a ConfigError on ``path``; with
+    ``writers``, one per value, the error names the first two that write it."""
+    for i, value in enumerate(values):
         if values.count(value) > 1:
-            raise ConfigError(f"{path}: {value!r} appears more than once")
-    return set(values)
+            if writers is None:
+                raise ConfigError(f"{path}: {value!r} appears more than once")
+            j = values.index(value, i + 1)
+            raise ConfigError(f"{path}: cells {writers[i]} and {writers[j]} both write {value}")
 
 
 def _require_file(base_dir: Path, path: str, name: str) -> None:
@@ -428,10 +437,14 @@ def export_figure_data(
             writer.writerow([format_month(month), observed.get(t, ""), fitted_pre, fitted_post, cf])
 
 
+def _figure_file(cell: str) -> str:
+    """The file under figures/ that the trend cell ``series/transform/vintage`` writes."""
+    return cell.replace("/", "_") + ".csv"
+
+
 def _aggregation_span(config: RunConfig) -> tuple[date, date]:
-    tb = config.trend_break
-    starts = [add_months(tb.cutoff_month, -tb.pre_window)]
-    ends = [add_months(tb.cutoff_month, tb.post_window - 1)]
+    spec = config.trend_spec(LEVELS)
+    starts, ends = [spec.window_start], [spec.window_end]
     if config.rdd is not None:
         starts.append(config.rdd.bandwidth_sample[0])
         ends.append(config.rdd.bandwidth_sample[1])
@@ -558,7 +571,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
                     trend_records.append(
                         _trend_record(sdef.label, transform, vintage.label, fit, path)
                     )
-                    figure_jobs.append((cell.replace("/", "_"), fit, path, used))
+                    figure_jobs.append((_figure_file(cell), fit, path, used))
 
     rdd_records = []
     if config.rdd is not None:
@@ -604,8 +617,8 @@ def _write_outputs(results: dict, figure_jobs, out_path: Path) -> None:
     if results["audit"]:
         _write_audit_csv(results["audit"], out_path / "audit.csv")
 
-    for stem, fit, path, used in figure_jobs:
-        export_figure_data(fit, path, used, out_path / "figures" / f"{stem}.csv")
+    for name, fit, path, used in figure_jobs:
+        export_figure_data(fit, path, used, out_path / "figures" / name)
 
 
 def _write_audit_csv(audit_records: list[dict], path: Path) -> None:

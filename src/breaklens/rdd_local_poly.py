@@ -328,7 +328,7 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
         h = (numerator / denominator) ** exponent
 
     gaps = np.diff(np.unique(tt))
-    pad = float(np.median(gaps)) if len(gaps) else 1.0
+    pad = float(np.median(gaps))  # not empty: each side had p+3 distinct months
     needed = max(
         _min_admitting_h(ul, p + 2, kernel, pad),
         _min_admitting_h(ur, p + 2, kernel, pad),

@@ -46,6 +46,19 @@ def _overlap(a: MonthlySeries, b: MonthlySeries, origin: date):
     return t, xa[ia], xb[ib]
 
 
+def _paired(a: MonthlySeries, b: MonthlySeries, origin: date):
+    """:func:`_overlap` of series that share at least 3 months, and its correlation:
+    with a constant side, 1.0 if the other is a shifted copy and NaN otherwise."""
+    t, xa, xb = _overlap(a, b, origin)
+    if len(t) < 3:
+        raise DataError(f"insufficient overlap: {len(t)} common non-missing months, need >= 3")
+    if np.std(xa) == 0.0 or np.std(xb) == 0.0:
+        correlation = 1.0 if np.allclose(xa - xa.mean(), xb - xb.mean()) else float("nan")
+    else:
+        correlation = float(np.corrcoef(xa, xb)[0, 1])
+    return t, xa, xb, correlation
+
+
 def _means(values: np.ndarray, is_post: np.ndarray) -> SegmentMeans:
     def safe_mean(x):
         return float(np.mean(x)) if len(x) else float("nan")
@@ -66,15 +79,7 @@ def compare_series(
     split puts the cutoff month in the post segment. Correlation and maximum
     absolute difference are symmetric in the arguments.
     """
-    t, xa, xb = _overlap(a, b, cutoff_month)
-    if len(t) < 3:
-        raise DataError(
-            f"insufficient overlap: {len(t)} common non-missing months, need >= 3"
-        )
-    if np.std(xa) == 0.0 or np.std(xb) == 0.0:
-        correlation = 1.0 if np.allclose(xa - xa.mean(), xb - xb.mean()) else float("nan")
-    else:
-        correlation = float(np.corrcoef(xa, xb)[0, 1])
+    t, xa, xb, correlation = _paired(a, b, cutoff_month)
     is_post = t >= 0
     return SeriesComparison(
         correlation=correlation,
@@ -92,14 +97,10 @@ class VintageSearchResult:
 
 
 def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> float:
-    _, xa, xb = _overlap(target, candidate, target.start_month)
-    if len(xa) < 3:
-        raise DataError("insufficient overlap between target and reconstruction")
+    _, xa, xb, correlation = _paired(target, candidate, target.start_month)
     if metric == RMS_DIFFERENCE:
         return float(np.sqrt(np.mean((xa - xb) ** 2)))
-    if np.std(xa) == 0.0 or np.std(xb) == 0.0:
-        return 0.0 if np.allclose(xa - xa.mean(), xb - xb.mean()) else 2.0
-    return 1.0 - float(np.corrcoef(xa, xb)[0, 1])
+    return 2.0 if np.isnan(correlation) else 1.0 - correlation
 
 
 def search_vintage_date(

@@ -18,13 +18,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError
-from .months import (
-    add_months,
-    format_month,
-    month_diff,
-    parse_month,
-)
+from .errors import DataError, open_csv
+from .months import add_months, format_month, month_diff, parse_month, parse_number
 
 LEVELS = "levels"
 LOG = "log"
@@ -115,39 +110,38 @@ def read_series_csv(path, meta: SeriesMeta | None = None) -> MonthlySeries:
     """Read a two-column (month, value_usd_millions) delimited file.
 
     Months must be consecutive; an empty value field marks a missing month,
-    and a non-finite value (``nan``, ``inf``) is an error.
+    and a value is read by :func:`~breaklens.months.parse_number` and must be
+    finite (not ``nan`` or ``inf``). Errors name the line.
     """
     values: list[float | None] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_csv(path, lambda: reader.line_num) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty series file")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
+            where = f"{path}: line {reader.line_num}"  # the row's last line
             if len(row) < 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 columns")
+                raise DataError(f"{where}: expected 2 columns")
             try:
                 month = parse_month(row[0])
             except ValueError as e:
-                raise DataError(f"{path}: line {lineno}: {e}") from e
+                raise DataError(f"{where}: {e}") from e
             raw = row[1].strip()
             value = None
             if raw != "":
                 try:
-                    value = float(raw)
+                    value = parse_number(raw)
                 except ValueError as e:
-                    raise DataError(f"{path}: line {lineno}: bad value {raw!r}") from e
+                    raise DataError(f"{where}: bad value {raw!r}") from e
                 if not math.isfinite(value):
-                    raise DataError(f"{path}: line {lineno}: non-finite value {raw!r}")
+                    raise DataError(f"{where}: non-finite value {raw!r}")
             if not values:
                 start = month
             elif month_diff(month, start) != len(values):
-                raise DataError(
-                    f"{path}: months must be consecutive, found {format_month(month)} "
-                    f"at position {len(values)}"
-                )
+                raise DataError(f"{where}: months must be consecutive, found {format_month(month)}")
             values.append(value)
     if not values:
         raise DataError(f"{path}: no data rows")

@@ -21,8 +21,8 @@ from itertools import chain, groupby, islice
 
 import numpy as np
 
-from .errors import DataError, RecordParseError
-from .months import as_utc, month_index, month_range, parse_period, parse_timestamp
+from .errors import DataError, RecordParseError, open_csv
+from .months import as_utc, month_index, month_range, parse_number, parse_period, parse_timestamp
 from .series import MonthlySeries, SeriesMeta
 
 RECORD_COLUMNS = (
@@ -143,9 +143,7 @@ def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
 
     raw_value = (row.get("value_usd") or "").strip()
     try:
-        if not raw_value.isascii() or "_" in raw_value:
-            raise ValueError  # float() reads other scripts' digits and underscores too
-        value = float(raw_value)
+        value = parse_number(raw_value)
     except ValueError:
         fail("value_usd", f"not a number: {raw_value!r}")
     if not math.isfinite(value):
@@ -325,18 +323,6 @@ def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.nda
     return [months, *codes, value, first, last]
 
 
-def _undecodable_line(path) -> int:
-    """The first line of ``path`` that is not valid UTF-8, counted as the
-    CSV reader counts lines."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # an undecodable byte became a lone surrogate
-                return lineno
-    raise DataError(f"{path}: changed while being read")
-
-
 def parse_records(path) -> np.recarray:
     """Parse a comma-separated trade-records file into a record array.
 
@@ -348,39 +334,35 @@ def parse_records(path) -> np.recarray:
     file), and the first malformed row aborts with an error naming the data
     row number (1-based) and the offending field. Row order is preserved.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader, lines_done = csv.reader(fh), 0
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            missing = [c for c in RECORD_COLUMNS if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing columns: {', '.join(missing)}")
-            duplicates = [c for c in RECORD_COLUMNS if header.count(c) > 1]
-            if duplicates:
-                raise DataError(f"{path}: duplicate columns: {', '.join(duplicates)}")
-            index = [header.index(c) for c in RECORD_COLUMNS]
-            chunks, rows_done, lines_done = [], 0, reader.line_num
-            while chunk := list(islice(fh, _CHUNK_ROWS)):
-                text = "".join(chunk)
-                try:
-                    chunks.append(_canonical_chunk(text, index, len(header)))
-                    rows_done += len(chunks[-1][0])
-                except _NotCanonical:
-                    # a quoted field may run on past the chunk, so the rest is read with it
-                    reader = csv.reader(chain(chunk, fh) if '"' in text else chunk)
-                    rows = filter(None, reader)  # a blank line reads as [] and is no data row
-                    while part := list(islice(rows, _CHUNK_ROWS)):
-                        numbered = enumerate((dict(zip(header, r)) for r in part), rows_done + 1)
-                        chunks.append(_columns(_parse_row(n, row) for n, row in numbered))
-                        rows_done += len(part)
-                lines_done += len(chunk)
-                del chunk, text  # before the next chunk is read, so that two are never held
-    except csv.Error as e:  # the reader's lines start after line lines_done
-        raise DataError(f"{path}: line {lines_done + reader.line_num}: {e}") from e
-    except UnicodeDecodeError as e:  # from any read of fh above
-        raise DataError(f"{path}: line {_undecodable_line(path)}: not UTF-8: {e.reason}") from e
+    # the reader in use starts after line lines_done
+    with open_csv(path, lambda: lines_done + reader.line_num) as fh:
+        reader, lines_done = csv.reader(fh), 0
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        missing = [c for c in RECORD_COLUMNS if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns: {', '.join(missing)}")
+        duplicates = [c for c in RECORD_COLUMNS if header.count(c) > 1]
+        if duplicates:
+            raise DataError(f"{path}: duplicate columns: {', '.join(duplicates)}")
+        index = [header.index(c) for c in RECORD_COLUMNS]
+        chunks, rows_done, lines_done = [], 0, reader.line_num
+        while chunk := list(islice(fh, _CHUNK_ROWS)):
+            text = "".join(chunk)
+            try:
+                chunks.append(_canonical_chunk(text, index, len(header)))
+                rows_done += len(chunks[-1][0])
+            except _NotCanonical:
+                # a quoted field may run on past the chunk, so the rest is read with it
+                reader = csv.reader(chain(chunk, fh) if '"' in text else chunk)
+                rows = filter(None, reader)  # a blank line reads as [] and is no data row
+                while part := list(islice(rows, _CHUNK_ROWS)):
+                    numbered = enumerate((dict(zip(header, r)) for r in part), rows_done + 1)
+                    chunks.append(_columns(_parse_row(n, row) for n, row in numbered))
+                    rows_done += len(part)
+            lines_done += len(chunk)
+            del chunk, text  # before the next chunk is read, so that two are never held
     return _assemble(chunks)
 
 

@@ -74,7 +74,7 @@ def valid_configs(draw):
     tb["horizon"] = draw(st.none() | st.integers(0, 60))
     raw["transforms"] = draw(st.lists(st.sampled_from(TRANSFORMS), min_size=1, max_size=2, unique=True))
     pairs = st.tuples(st.sampled_from(raw["transforms"]), st.sampled_from(labels)).map(list)
-    raw["panels"] = draw(st.none() | st.lists(pairs, max_size=3))
+    raw["panels"] = draw(st.none() | st.lists(pairs, max_size=3, unique_by=tuple))
     if draw(st.booleans()):
         start, end = sorted(draw(st.lists(months(), min_size=2, max_size=2)))
         raw["rdd"] = {
@@ -105,7 +105,7 @@ def valid_configs(draw):
         audit["search"] = None
     codes = st.integers(1, 99).map("{:02d}".format)
     raw["category_sets"] = draw(
-        st.dictionaries(st.sampled_from(["cereals", "oils", "x"]), st.lists(codes, min_size=1, max_size=4))
+        st.dictionaries(st.sampled_from(["cereals", "oils", "x"]), st.lists(codes, min_size=1, max_size=4, unique=True))
     )
     raw["output_dir"] = draw(st.text(min_size=1, max_size=8))
     raw["seed"] = draw(st.none() | st.integers())

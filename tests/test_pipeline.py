@@ -83,6 +83,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="vintage"):
             RunConfig.from_dict(raw).validate(fixtures_dir_module)
 
+    def test_colliding_figure_files_name_both_cells(self, fixtures_dir_module):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["series"] = [{"label": label, "category_set": "anova_food"} for label in ("a_levels", "a")]
+        raw["vintages"] = [{"label": "v"}, {"label": "log_v"}]
+        raw.update(panels=None, rdd=None, audits=[])
+        message = "figures: cells a_levels/log/v and a/levels/log_v both write a_levels_log_v.csv"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            RunConfig.from_dict(raw).validate(fixtures_dir_module)
+
     def test_empty_search_block_gets_default_weekly_grid(self, fixtures_dir_module):
         raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
         raw["audits"][0]["search"] = {}
@@ -296,6 +305,37 @@ BAD_RECORD_FILES = {
 }
 
 
+def _audit_argv(target, fixtures_dir, tmp_path):
+    """CLI arguments that make ``breaklens audit`` read the series file ``target``."""
+    raw = json.loads((fixtures_dir / "demo_config.json").read_text())
+    raw["data_file"] = str(fixtures_dir / raw["data_file"])
+    raw["audits"][0]["target_file"] = str(target)
+    raw["output_dir"] = str(tmp_path / "o")
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return ["audit", "--config", str(tmp_path / "config.json")]
+
+
+#: Series files the audit cannot read, and the error after the path.
+BAD_SERIES_FILES = {
+    "underscore": (b"month,value\n2015-04,1.5\n2015-05,1_000\n", "line 3: bad value '1_000'"),
+    "arabic-indic digits": (
+        "month,value\n2015-04,\u0661\u0662\n".encode(),
+        "line 2: bad value '\u0661\u0662'",
+    ),
+    "undecodable": (b"month,value\n2015-04,1\n2015-05,\xff\n", "line 3: not UTF-8: invalid start byte"),
+    "oversized field": (
+        b'month,value\n2015-04,"' + b"1" * 200_000 + b'"\n',
+        f"line 2: field larger than field limit ({csv.field_size_limit()})",
+    ),
+    "row over two lines": (b'month,value\n2015-01,"1\n"\n2015-02,x\n', "line 4: bad value 'x'"),
+    "one column": (b"month,value\n2015-04,1\n2015-05\n", "line 3: expected 2 columns"),
+    "bad month": (b"month,value\n2015-13,1\n", "line 2: month out of range: '2015-13'"),
+    "gap": (b"month,value\n2015-04,1\n\n2015-06,2\n", "line 4: months must be consecutive, found 2015-06"),
+    "empty": (b"", "empty series file"),
+    "header only": (b"month,value\n\n", "no data rows"),
+}
+
+
 class TestCli:
     def test_run_exit_zero(self, fixtures_dir_module, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -430,6 +470,16 @@ class TestCli:
         assert err.startswith("data error:")
         assert f"{data}: {message}\n" in err
 
+    @pytest.mark.parametrize("case", sorted(BAD_SERIES_FILES))
+    def test_unreadable_series_file_is_a_data_error(self, case, fixtures_dir_module, tmp_path, capsys):
+        body, message = BAD_SERIES_FILES[case]
+        target = tmp_path / "target.csv"
+        target.write_bytes(body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(_audit_argv(target, fixtures_dir_module, tmp_path)) == 2
+        assert capsys.readouterr().err == f"data error: [audit:food_extracted] {target}: {message}\n"
+
     def test_ingest_checks_the_vintage_before_reading_the_data(self, tmp_path, capsys):
         data = tmp_path / "records.csv"
         data.write_text("period,reporter_code\n201504,VEN\n", encoding="utf-8")
@@ -554,6 +604,14 @@ BAD_INPUTS = [
     ("series[1].label", "anova_food", "series"),
     ("trend_break.pre_window", 30000, "trend_break"),
     ("category_sets", {"odd": ["00"]}, "category_sets.odd"),
+    (
+        "audits",
+        [{"label": "twice", "target_file": "t.csv", "series": "anova_food", "vintage": "latest"}] * 2,
+        "audits",
+    ),
+    ("panels", [["log", "latest"], ["log", "latest"]], "panels"),
+    ("category_sets", {"pair": ["02", "02"]}, "category_sets.pair"),
+    ("series[2].label", "full/food", "figures"),  # its figures are full_food's
 ]
 
 

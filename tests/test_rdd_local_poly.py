@@ -186,6 +186,11 @@ class TestRdEstimate:
         assert fit.n_left == 5
         assert fit.n_right == 6
 
+    def test_bandwidth_sample_missing_the_series(self):
+        spec = RddSpec(cutoff_month=CUTOFF, bandwidth_sample=(date(2021, 1, 1), date(2021, 6, 1)))
+        with pytest.raises(EstimationError, match="^bandwidth sample does not intersect the series$"):
+            rd_estimate(step_series(), spec)
+
     def test_min_points_enforced(self):
         values = tuple(1.0 + 0.1 * k for k in range(8))
         s = MonthlySeries(date(2017, 6, 1), values, SeriesMeta(transform="log"))
@@ -286,6 +291,12 @@ class TestBandwidthSelector:
         assert h >= 3.0
         fit = rd_estimate_xy(t, y, RddSpec(cutoff_month=CUTOFF, estimand="level", bandwidth=h))
         assert fit.n_left >= 3 and fit.n_right >= 3
+
+    def test_no_observations_near_the_cutoff(self):
+        t = np.concatenate([np.arange(-100.0, -89.0), np.arange(90.0, 101.0)])
+        y = np.where(t < 0, 0.05 * t**2, -0.05 * t**2)
+        with pytest.raises(EstimationError, match="^no observations near the cutoff$"):
+            select_bandwidth_xy(t, y, nu=0, p=1)
 
     def test_zero_curvature_falls_back_with_warning(self):
         t = np.arange(-54.0, 54.0)
@@ -481,6 +492,7 @@ class TestSpecValidation:
             ("bandwidth", True),
             ("pilot_factor", True),
             ("pilot_factor", "2"),
+            ("bandwidth_sample", (date(2020, 1, 1), date(2019, 12, 1))),
         ],
     )
     def test_misspelled_or_out_of_range_field_rejected(self, field, value):

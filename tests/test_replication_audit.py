@@ -6,6 +6,8 @@ import pytest
 
 from breaklens.errors import DataError
 from breaklens.replication_audit import (
+    ONE_MINUS_CORRELATION,
+    _distance,
     compare_series,
     coefficient_audit,
     search_vintage_date,
@@ -85,8 +87,23 @@ class TestCompareSeries:
     def test_insufficient_overlap_errors(self):
         a = MonthlySeries(date(2015, 1, 1), (1.0, 2.0, 3.0, 4.0))
         b = MonthlySeries(date(2015, 3, 1), (3.0, 4.0, 5.0, 6.0))
-        with pytest.raises(DataError, match="overlap"):
+        message = "^insufficient overlap: 2 common non-missing months, need >= 3$"
+        with pytest.raises(DataError, match=message):
             compare_series(a, b, CUTOFF)
+        with pytest.raises(DataError, match=message):  # the vintage search pairs them alike
+            _distance(a, b, ONE_MINUS_CORRELATION)
+
+    @pytest.mark.parametrize(
+        "other, correlation, distance",
+        [((5.0, 5.0, 5.0, 5.0), 1.0, 0.0), ((1.0, 2.0, 3.0, 4.0), math.nan, 2.0)],
+        ids=["shifted-copy", "not-a-copy"],
+    )
+    def test_constant_side(self, other, correlation, distance):
+        a = MonthlySeries(date(2015, 1, 1), (2.0, 2.0, 2.0, 2.0))
+        b = MonthlySeries(date(2015, 1, 1), other)
+        got = compare_series(a, b, CUTOFF).correlation
+        assert got == correlation or math.isnan(got) and math.isnan(correlation)
+        assert _distance(a, b, ONE_MINUS_CORRELATION) == distance
 
 
 class TestVintageSearch:

@@ -97,6 +97,8 @@ class TestParseRecords:
             ("201504,VEN,DEU,02,1_000,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
             ("201504,VEN,DEU,02,\u0661,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
             ("201504,VEN,DEU,\u0660\u0662,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "hs2_code"),
+            # bytes of a canonical number that numpy cannot read: the row path names the row
+            ("201504,VEN,DEU,02,1e,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
             ("\u0662\u0660\u0661\u0665\u0660\u0664,VEN,DEU,02,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "period"),
             ("201504,VEN,DEU,02,1,not-a-time,2015-08-03T00:00:00Z", "first_submitted_at"),
             (

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.stats
 
 from breaklens.errors import EstimationError, SpecError
+from breaklens.ols import fit_ols
 from breaklens.series import MonthlySeries
 from breaklens.trend_break import (
     TrendBreakSpec,
@@ -154,6 +155,16 @@ class TestFit:
         )
         assert default.se == explicit.se
         assert default.se != other.se
+
+    def test_huge_hac_lags_weigh_every_lag_fully(self):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(40), np.arange(40.0)])
+        y = X @ [1.0, 0.5] + rng.standard_normal(40)
+        # lags past the float range: from 2**62 on every weight is 1.0 in floats,
+        # so the meat is X'e e'X, zero up to rounding
+        huge = fit_ols(X, y, "newey_west", hac_lags=10**400)
+        assert huge.se.tolist() == fit_ols(X, y, "newey_west", hac_lags=2**62).se.tolist()
+        assert np.isfinite(huge.se).all()
 
     def test_hac_flag_runs_and_changes_only_inference(self):
         rng = np.random.default_rng(3)
