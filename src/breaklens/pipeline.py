@@ -267,6 +267,13 @@ class RunConfig:
             f"{s.label}/{tr}/{v.label}" for s in self.series for v in self.vintages for tr in self.transforms
         ]
         _unique("figures", [_figure_file(cell) for cell in cells], cells)
+        for cell in cells:
+            name = _figure_file(cell)
+            if "\0" in name or len(name.encode("utf-8", "surrogatepass")) > 255:
+                raise ConfigError(
+                    f"figures: cell {cell!r} cannot name a file: "
+                    "a file name holds no NUL and at most 255 bytes in UTF-8"
+                )
         _require_file(base_dir, "data_file", self.data_file)
         for name, codes in self.category_sets.items():
             try:

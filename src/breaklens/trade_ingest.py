@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -49,6 +49,7 @@ RECORD_FIELDS = (
 )
 
 _EPOCH_MONTH = month_index(date(1970, 1, 1))  # integer months count from here in numpy
+_FIRST_INSTANT = np.datetime64("0001-01-01T00:00:00")
 
 #: Rows converted to columns at a time, so parsing never holds a Python
 #: object per row of the whole file.
@@ -88,9 +89,6 @@ class CategorySet:
         bad = sorted(c for c in self.codes if not _valid_hs2(c))
         if bad:
             raise ValueError(f"category set {self.name!r} has invalid hs2 codes: {bad}")
-
-    def __contains__(self, code: str) -> bool:
-        return code in self.codes
 
     def mask(self, records: np.recarray) -> np.ndarray:
         """Which records fall in this set's chapters."""
@@ -166,12 +164,15 @@ def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
 
 
 def _keys(columns: list[np.ndarray]) -> np.ndarray:
-    """Dense integer ids of the (period, reporter, partner, hs2) tuples, one
-    field at a time so that no intermediate id exceeds rows squared."""
-    key = np.zeros(len(columns[0]), dtype=np.int64)
+    """Dense integer ids of the (period, reporter, partner, hs2) tuples,
+    numbered in their lexicographic order."""
+    order = np.lexsort(columns[3::-1])  # the last key sorts first
+    new = np.zeros(len(order), dtype=bool)
     for column in columns[:4]:
-        values, codes = np.unique(column, return_inverse=True)
-        key = np.unique(key * len(values) + codes, return_inverse=True)[1]
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    key = np.empty(len(order), dtype=np.int64)
+    key[order] = np.cumsum(new)
     return key
 
 
@@ -230,7 +231,6 @@ def _require(condition) -> None:
 _SPACE = np.array([chr(b).isspace() for b in range(128)])
 #: Bytes of a canonical ``value_usd``, and the zero that pads a gathered field.
 _NUMBER = np.isin(np.arange(128), list(b"\x000123456789.eE+-"))
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _strings(buf: np.ndarray, span, kind: str) -> np.ndarray:
@@ -246,35 +246,28 @@ def _strings(buf: np.ndarray, span, kind: str) -> np.ndarray:
     return text.astype(np.uint32 if kind == "U" else np.uint8).view(f"{kind}{width}").ravel()
 
 
-def _numbers(buf: np.ndarray, span, form: str) -> list[np.ndarray]:
-    """The numbers in fields of exactly ``form``, where a run of one lowercase
-    letter is that many ASCII digits and any other character itself; one per run."""
+def _fixed(buf: np.ndarray, span, form: str, dtype) -> np.ndarray:
+    """The fields of ``span``, each exactly ``form`` (where a lowercase
+    letter is an ASCII digit and any other character itself), as numpy
+    reads them into ``dtype`` without a final ``Z``, on which it warns."""
     start, stop = span
     _require((stop - start == len(form)).all())
     text = np.lib.stride_tricks.sliding_window_view(buf, len(form))[start]
     digit = np.array([c.islower() for c in form])
     _require((text[:, ~digit] == np.frombuffer(form.encode(), np.uint8)[~digit]).all())
-    digits = text[:, digit] - np.uint8(ord("0"))  # a byte below '0' wraps round to a large value
-    _require((digits < 10).all())
-    runs = [len(list(run)) for _, run in groupby(c for c in form if c.islower())]
-    groups = np.split(digits.astype(np.int64), np.cumsum(runs)[:-1], axis=1)
-    return [group @ 10 ** np.arange(group.shape[1] - 1, -1, -1) for group in groups]
+    _require((text[:, digit] - np.uint8(ord("0")) < 10).all())  # a byte below '0' wraps round
+    width = len(form.removesuffix("Z"))
+    return _astype(np.ascontiguousarray(text[:, :width]).view(f"S{width}").ravel(), dtype)
 
 
-def _instants(buf: np.ndarray, span) -> np.ndarray:
-    """The instants of ``YYYY-MM-DDTHH:MM:SSZ`` fields that name a time of
-    the Gregorian calendar in years 1-9999, converted by days from civil
-    (H. Hinnant, http://howardhinnant.github.io/date_algorithms.html)."""
-    year, month, day, hour, minute, second = _numbers(buf, span, "yyyy-mm-ddThh:mm:ssZ")
-    _require(((year >= 1) & (month >= 1) & (month <= 12)).all())
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[month] + (leap & (month == 2))
-    _require(((day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)).all())
-    era, year_of_era = np.divmod(year - (month <= 2), 400)  # years from March, leap day last
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
-    days = era * 146097 + day_of_era - 719468
-    return (days * 86400 + hour * 3600 + minute * 60 + second).astype("datetime64[s]")
+def _astype(text: np.ndarray, dtype) -> np.ndarray:
+    """Numpy strings ``text`` read as ``dtype``; :class:`_NotCanonical` where
+    numpy cannot read one, such as ``1e`` or February 30."""
+    try:
+        with np.errstate(over="ignore"):  # a value past the float range reads as inf
+            return text.astype(dtype)
+    except ValueError:
+        raise _NotCanonical from None
 
 
 def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.ndarray]:
@@ -303,21 +296,18 @@ def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.nda
     spans = [(bounds[:, j] + 1, bounds[:, j + 1]) for j in index]
     period, reporter, partner, hs2, value, first, last = spans
 
-    year, month = _numbers(buf, period, "yyyymm")
+    year, month = np.divmod(_fixed(buf, period, "yyyymm", np.int64), 100)
     _require(((year >= 1) & (month >= 1) & (month <= 12)).all())
     for start, stop in (reporter, partner):
         _require((stop > start).all() and not (_SPACE[buf[start]] | _SPACE[buf[stop - 1]]).any())
-    _require((_numbers(buf, hs2, "hh")[0] > 0).all())
+    _require((_fixed(buf, hs2, "hh", np.int64) > 0).all())
     value = _strings(buf, value, "S")
     _require(_NUMBER[value.view(np.uint8)].all())
-    try:
-        with np.errstate(over="ignore"):  # a value past the float range reads as inf
-            value = value.astype(np.float64)
-    except ValueError:
-        raise _NotCanonical from None
+    value = _astype(value, np.float64)
     _require((np.isfinite(value) & (value >= 0)).all())
-    first, last = _instants(buf, first), _instants(buf, last)
-    _require((first <= last).all())
+    stamp = "yyyy-mm-ddThh:mm:ssZ"
+    first, last = (_fixed(buf, span, stamp, "datetime64[s]") for span in (first, last))
+    _require((first >= _FIRST_INSTANT).all() and (first <= last).all())  # numpy reads year 0
     months = (year * 12 + month - 1 - _EPOCH_MONTH).astype("datetime64[M]")
     codes = [_strings(buf, span, "U") for span in (reporter, partner, hs2)]
     return [months, *codes, value, first, last]

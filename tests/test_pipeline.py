@@ -562,6 +562,18 @@ class TestCli:
         assert "Correlation" in out
         assert (tmp_path / "out" / "audit.csv").exists()
 
+    def test_audit_command_without_audits(self, fixtures_dir_module, tmp_path, capsys):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["audits"] = []
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["audit", "--config", str(tmp_path / "config.json")])
+        assert code == 0
+        assert capsys.readouterr().out == "no audits configured\n"
+        assert not (tmp_path / "out" / "audit.csv").exists()
+
 
 class IngestStarted(Exception):
     pass
@@ -612,6 +624,8 @@ BAD_INPUTS = [
     ("panels", [["log", "latest"], ["log", "latest"]], "panels"),
     ("category_sets", {"pair": ["02", "02"]}, "category_sets.pair"),
     ("series[2].label", "full/food", "figures"),  # its figures are full_food's
+    ("series[2].label", "a\u0000b", "figures"),  # no file name holds NUL
+    ("series[2].label", "x" * 300, "figures"),  # nor more than 255 bytes
 ]
 
 

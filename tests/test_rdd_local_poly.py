@@ -3,11 +3,13 @@ from datetime import date
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from breaklens.errors import EstimationError, SpecError
 from breaklens.rdd_local_poly import (
     RddSpec,
     _fit_side,
+    _kernel_constants,
     _kernel_weight,
     _split_sides,
     rd_estimate,
@@ -15,6 +17,9 @@ from breaklens.rdd_local_poly import (
     select_bandwidth_xy,
 )
 from breaklens.series import MonthlySeries, SeriesMeta
+from breaklens.trade_ingest import ANOVA_FOOD, aggregate_series, parse_records
+from breaklens.trend_break import log_transform
+from conftest import FIXTURES
 from util import CUTOFF
 
 SAMPLE_START = date(2012, 1, 1)
@@ -343,6 +348,60 @@ class TestBandwidthSelector:
         t, y = s.to_arrays(CUTOFF)
         h_xy = select_bandwidth_xy(t, y, nu=0, p=1)
         assert h_series == pytest.approx(h_xy, rel=1e-12)
+
+
+#: One-sided kernels on [0, 1], written out here rather than taken from the module.
+KERNELS = {"triangular": lambda u: 1.0 - u, "uniform": lambda u: 1.0}
+
+
+def quad_kernel_constants(kernel, p, nu):
+    """The bias and variance constants of the order-p boundary fit for the
+    nu-th derivative, from its equivalent kernel K*(u) = e_nu' S^-1 (1, u,
+    ..., u^p)' K(u) with the moments S integrated numerically:
+    nu! / (p+1)! * int u^(p+1) K* and nu!^2 * int K*^2."""
+    k = KERNELS[kernel]
+    orders = range(p + 1)
+    S = np.array([[quad(lambda u: u ** (i + j) * k(u), 0, 1)[0] for j in orders] for i in orders])
+    row = np.linalg.inv(S)[nu]
+
+    def equivalent(u):
+        return float(row @ u ** np.arange(p + 1)) * k(u)
+
+    bias = quad(lambda u: u ** (p + 1) * equivalent(u), 0, 1)[0]
+    variance = quad(lambda u: equivalent(u) ** 2, 0, 1)[0]
+    return math.factorial(nu) * bias / math.factorial(p + 1), math.factorial(nu) ** 2 * variance
+
+
+class TestKernelConstants:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("nu", [0, 1])
+    def test_match_numerical_integration(self, kernel, p, nu):
+        want = quad_kernel_constants(kernel, p, nu)
+        assert _kernel_constants(kernel, p, nu) == pytest.approx(want, rel=1e-9)
+
+    def test_triangular_local_linear_level(self):
+        assert _kernel_constants("triangular", 1, 0) == pytest.approx((-0.05, 4.8), rel=1e-12)
+
+    @pytest.mark.parametrize("estimand, p, nu", [("level", 1, 0), ("slope", 2, 1)])
+    def test_uniform_mse_optimal_on_the_demo_series(self, estimand, p, nu):
+        """Only the kernel constants tell the kernels' MSE-optimal widths
+        apart, so on a series where neither is clipped to admit p + 2 points
+        they stand in the ratio the constants give."""
+        records = parse_records(FIXTURES / "demo_records.csv")
+        months = (date(2012, 1, 1), date(2020, 12, 1))
+        series = log_transform(aggregate_series(records, ANOVA_FOOD, months))
+        fits = {
+            kernel: rd_estimate(series, RddSpec(cutoff_month=CUTOFF, estimand=estimand, kernel=kernel))
+            for kernel in KERNELS
+        }
+        (bias_u, var_u), (bias_t, var_t) = (quad_kernel_constants(k, p, nu) for k in ("uniform", "triangular"))
+        widening = (var_u / bias_u**2 / (var_t / bias_t**2)) ** (1 / (2 * p + 3))
+        assert fits["uniform"].h_used == pytest.approx(fits["triangular"].h_used * widening, rel=1e-9)
+        h = fits["uniform"].h_used
+        manual = RddSpec(cutoff_month=CUTOFF, estimand=estimand, kernel="uniform", bandwidth=h)
+        assert rd_estimate(series, manual).tau == fits["uniform"].tau
+        assert math.isfinite(fits["uniform"].tau) and fits["uniform"].se_robust > 0
 
 
 def side_bias(u, y, nu, p, h, b):

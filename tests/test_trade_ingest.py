@@ -1,3 +1,4 @@
+import calendar
 import csv
 import io
 import subprocess
@@ -6,6 +7,7 @@ import textwrap
 import time
 import warnings
 from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from breaklens.trade_ingest import (
     ANOVA_FOOD,
     FULL_FOOD,
     MEDICINES,
+    RECORD_COLUMNS,
     CategorySet,
     VintagePolicy,
     aggregate_series,
@@ -101,6 +104,7 @@ class TestParseRecords:
             ("201504,VEN,DEU,02,1e,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "value_usd"),
             ("\u0662\u0660\u0661\u0665\u0660\u0664,VEN,DEU,02,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "period"),
             ("201504,VEN,DEU,02,1,not-a-time,2015-08-03T00:00:00Z", "first_submitted_at"),
+            ("201504,,DEU,02,1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z", "reporter_code"),
             (
                 "201504,VEN,DEU,02,1,2016-01-01T00:00:00Z,2015-08-03T00:00:00Z",
                 "first_submitted_at",
@@ -112,6 +116,12 @@ class TestParseRecords:
             parse_records(write(tmp_path, row + "\n"))
         assert err.value.row == 1
         assert err.value.field == field
+
+    def test_zero_byte_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(DataError, match="empty file, expected a header row"):
+            parse_records(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -426,6 +436,65 @@ MUTATIONS = (
     ("hs2_code", lambda v: "7"),
 )
 
+
+def _stamp(year, month, day, hour=0, minute=0, second=0) -> str:
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+
+
+#: Instants of years 1-9999 at whole seconds.
+INSTANTS = st.datetimes().map(lambda t: t.replace(microsecond=0))
+
+
+def _with_part(instant_and_part) -> str:
+    """The stamp of an instant with one of its six parts replaced."""
+    t, (index, value) = instant_and_part
+    parts = [t.year, t.month, t.day, t.hour, t.minute, t.second]
+    parts[index] = value
+    return _stamp(*parts)
+
+
+#: Canonical rows (period, reporter, partner, hs2, value, first, last) over
+#: the whole calendar, with the two instants in order.
+CANONICAL_ROWS = st.tuples(
+    st.tuples(st.integers(1, 9999), st.integers(1, 12)).map("{0[0]:04d}{0[1]:02d}".format),
+    st.sampled_from(["VEN", "COL"]),
+    st.sampled_from(["DEU", "P1", "USA77"]),
+    st.integers(1, 99).map("{:02d}".format),
+    st.floats(0, 1e12).map(repr),
+    st.lists(INSTANTS, min_size=2, max_size=2).map(lambda pair: [t.isoformat() + "Z" for t in sorted(pair)]),
+).map(lambda r: [*r[:5], *r[5]])
+
+#: Stamps in the canonical form that name no instant of years 1-9999.
+BAD_STAMPS = {
+    "day past the month's end": INSTANTS.map(
+        lambda t: _stamp(t.year, t.month, calendar.monthrange(t.year, t.month)[1] + 1)
+    ),
+    "February 29 in 1900 or 2100": st.sampled_from([1900, 2100]).map(lambda year: _stamp(year, 2, 29)),
+    **{
+        name: st.tuples(INSTANTS, st.just(part)).map(_with_part)
+        for name, part in [
+            ("year 0000", (0, 0)),
+            ("month 00", (1, 0)),
+            ("month 13", (1, 13)),
+            ("hour 24", (3, 24)),
+            ("minute 60", (4, 60)),
+            ("second 60", (5, 60)),
+        ]
+    },
+}
+#: A bad calendar value by what is wrong with it, and the field it is planted in.
+PLANTS = {
+    **{f"{field} {name}": (field, stamps) for field in RECORD_COLUMNS[-2:] for name, stamps in BAD_STAMPS.items()},
+    "period year 0000": ("period", st.integers(1, 12).map("0000{:02d}".format)),
+    "period month 00": ("period", st.integers(1, 9999).map("{:04d}00".format)),
+    "period month 13": ("period", st.integers(1, 9999).map("{:04d}13".format)),
+}
+
+
+def _refuse_row_wise(*args):
+    raise AssertionError("a canonical row took the row-wise parse")
+
+
 #: Data rows in a file whose mutated rows all sit in its first chunk.
 SHORT_ROWS = 40
 
@@ -480,6 +549,38 @@ class TestParseMatchesRowWise:
     @given(position=st.integers(0, SHORT_ROWS - 1), mutation=st.sampled_from(MUTATIONS))
     def test_mutated_row_past_the_first_chunk(self, canonical, tmp_path_factory, position, mutation):
         self.check(canonical, tmp_path_factory.mktemp("mutated"), position, mutation, True)
+
+    @settings(max_examples=100, **SETTINGS)
+    @given(rows=st.lists(CANONICAL_ROWS, min_size=1, max_size=40))
+    def test_drawn_canonical_rows(self, tmp_path_factory, rows):
+        """Canonical rows across years 1-9999 parse as whole columns, with
+        numpy's warnings made errors."""
+        path = self.write_drawn(tmp_path_factory, rows)
+        with warnings.catch_warnings(), mock.patch.object(trade_ingest, "_parse_row", _refuse_row_wise):
+            warnings.simplefilter("error")
+            got = _outcome(parse_records, path)
+        assert got == _outcome(reference_parse_records, path)
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    @settings(max_examples=10, **SETTINGS)
+    @given(rows=st.lists(CANONICAL_ROWS, min_size=1, max_size=40), position=st.integers(0, 39), data=st.data())
+    def test_drawn_bad_calendar_value(self, tmp_path_factory, plant, rows, position, data):
+        """A bad calendar value among canonical rows is the row-wise parse's
+        error, with numpy's warnings made errors."""
+        field, values = PLANTS[plant]
+        rows[position % len(rows)][RECORD_COLUMNS.index(field)] = data.draw(values)
+        path = self.write_drawn(tmp_path_factory, rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _outcome(parse_records, path)
+        assert got[0] == "error"
+        assert got == _outcome(reference_parse_records, path)
+
+    @staticmethod
+    def write_drawn(tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("drawn") / "records.csv"
+        path.write_text(HEADER + _csv_text(rows), encoding="utf-8", newline="")
+        return path
 
     @staticmethod
     def check(canonical, work, position, mutation, past_first_chunk):
@@ -600,3 +701,17 @@ class TestParseMatchesRowWise:
         )
         got = self.parse_without_row_wise(path, monkeypatch)
         assert got.last_updated_at[1] == np.datetime64("9999-12-31T23:59:59")
+
+    @pytest.mark.parametrize("end", ["\n", ""])
+    def test_wide_value_before_a_short_last_one(self, tmp_path, monkeypatch, end):
+        """``value_usd`` as the last column: the last row's short value is
+        read as wide as the widest, past the end of the text."""
+        path = tmp_path / "records.csv"
+        path.write_text(
+            "period,reporter_code,partner_code,hs2_code,first_submitted_at,last_updated_at,value_usd\n"
+            "201504,VEN,DEU,02,2015-08-03T10:15:00Z,2015-09-01T00:00:00Z,1250000.5\n"
+            f"201504,VEN,USA,30,2015-09-10T00:00:00Z,2016-01-01T00:00:00Z,7{end}",
+            encoding="utf-8",
+        )
+        got = self.parse_without_row_wise(path, monkeypatch)
+        assert got.value_usd.tolist() == [1250000.5, 7.0]
