@@ -23,7 +23,6 @@ from .trade_ingest import (
     category_share,
     parse_records,
     record_array,
-    serialize_records,
 )
 from .trend_break import (
     CounterfactualPath,
@@ -82,6 +81,5 @@ __all__ = [
     "run_pipeline",
     "search_vintage_date",
     "segment_trend",
-    "serialize_records",
     "write_series_csv",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -53,7 +54,7 @@ from .trend_break import (
 # Each config key is one field of the frozen dataclasses below, declared with
 # key(kind, default). A kind is a Scalar, a schema dataclass (a JSON object
 # with its keys), [kind, ...] (a list of any length), [kind, kind] (a list of
-# exactly those) or {str: kind} (an object with free keys). No entry of a list
+# exactly those) or {TEXT: kind} (an object with free keys). No entry of a list
 # of any length repeats (in a list of objects, no label). Estimator settings
 # are range-checked by the TrendBreakSpec and RddSpec that validate() builds.
 
@@ -97,7 +98,8 @@ def _load(kind, value, path: str):
         raise _expected(path, "an object", value)
     prefix = f"{path}." if path else ""
     if isinstance(kind, dict):
-        return {name: _load(kind[str], v, prefix + name) for name, v in value.items()}
+        ((key_kind, kind),) = kind.items()
+        return {_load(key_kind, name, path): _load(kind, v, prefix + name) for name, v in value.items()}
     # a schema dataclass: an absent or null key takes its default, if it has one
     declared = {f.name: f for f in fields(kind)}
     for name in value:
@@ -122,7 +124,8 @@ def _dump(kind, value):
         kinds = kind[:1] * len(value) if kind[-1] is ... else kind
         return [_dump(k, v) for k, v in zip(kinds, value)]
     if isinstance(kind, dict):
-        return {name: _dump(kind[str], v) for name, v in value.items()}
+        ((_, kind),) = kind.items()
+        return {name: _dump(kind, v) for name, v in value.items()}
     return {f.name: _dump(f.metadata["kind"], getattr(value, f.name)) for f in fields(kind)}
 
 
@@ -139,7 +142,8 @@ def one_of(choices: tuple[str, ...]) -> Scalar:
     return Scalar(f"one of {', '.join(choices)}", (str,), lambda v: v in choices)
 
 
-TEXT = Scalar("a string", (str,))
+# no file name holds NUL, and UTF-8 cannot encode a lone surrogate
+TEXT = Scalar("a string without NUL or lone surrogates", (str,), lambda v: not re.search("[\0\ud800-\udfff]", v))
 INT = Scalar("an integer", (int,))
 BOOL = Scalar("true or false", (bool,))
 NUMBER = Scalar("a number", (int, float))
@@ -221,7 +225,7 @@ class RunConfig:
     trend_break: TrendBreakDef = key(TrendBreakDef)
     rdd: RddDef | None = key(RddDef, None)
     audits: tuple[AuditDef, ...] = key([AuditDef, ...], ())
-    category_sets: dict[str, tuple[str, ...]] = key({str: [TEXT, ...]}, default_factory=dict)
+    category_sets: dict[str, tuple[str, ...]] = key({TEXT: [TEXT, ...]}, default_factory=dict)
     panels: tuple[tuple[str, str], ...] | None = key([[TEXT, TEXT], ...], None)
     output_dir: str = key(TEXT, "out")
     seed: int | None = key(INT, None)
@@ -269,11 +273,8 @@ class RunConfig:
         _unique("figures", [_figure_file(cell) for cell in cells], cells)
         for cell in cells:
             name = _figure_file(cell)
-            if "\0" in name or len(name.encode("utf-8", "surrogatepass")) > 255:
-                raise ConfigError(
-                    f"figures: cell {cell!r} cannot name a file: "
-                    "a file name holds no NUL and at most 255 bytes in UTF-8"
-                )
+            if len(name.encode("utf-8")) > 255:
+                raise ConfigError(f"figures: cell {cell!r} cannot name a file: a file name holds at most 255 bytes")
         _require_file(base_dir, "data_file", self.data_file)
         for name, codes in self.category_sets.items():
             try:

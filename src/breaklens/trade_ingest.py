@@ -25,28 +25,20 @@ from .errors import DataError, RecordParseError, open_csv
 from .months import as_utc, month_index, month_range, parse_number, parse_period, parse_timestamp
 from .series import MonthlySeries, SeriesMeta
 
-RECORD_COLUMNS = (
-    "period",
-    "reporter_code",
-    "partner_code",
-    "hs2_code",
-    "value_usd",
-    "first_submitted_at",
-    "last_updated_at",
-)
-
-#: The record array's fields and dtypes; ``str`` becomes a fixed-width
-#: string as wide as the longest value. ``key`` is computed, not read.
+#: The columns a records file must have and the record array fields they
+#: fill, in order, with the fields' dtypes; ``str`` becomes a fixed-width
+#: string as wide as the longest value. The array ends with a computed
+#: ``int64`` field ``key`` (see :func:`_assemble`).
 RECORD_FIELDS = (
-    ("period", "datetime64[M]"),
-    ("reporter", str),
-    ("partner", str),
-    ("hs2", str),
-    ("value_usd", np.float64),
-    ("first_submitted_at", "datetime64[s]"),
-    ("last_updated_at", "datetime64[s]"),
-    ("key", np.int64),
+    ("period", "period", "datetime64[M]"),
+    ("reporter_code", "reporter", str),
+    ("partner_code", "partner", str),
+    ("hs2_code", "hs2", str),
+    ("value_usd", "value_usd", np.float64),
+    ("first_submitted_at", "first_submitted_at", "datetime64[s]"),
+    ("last_updated_at", "last_updated_at", "datetime64[s]"),
 )
+RECORD_COLUMNS = tuple(column for column, _, _ in RECORD_FIELDS)
 
 _EPOCH_MONTH = month_index(date(1970, 1, 1))  # integer months count from here in numpy
 _FIRST_INSTANT = np.datetime64("0001-01-01T00:00:00")
@@ -176,42 +168,38 @@ def _keys(columns: list[np.ndarray]) -> np.ndarray:
     return key
 
 
-_DTYPES = [dtype for _, dtype in RECORD_FIELDS[:-1]]
-
-
 def _columns(rows) -> list[np.ndarray]:
     """The columns, all but ``key``, of rows in the form :func:`record_array` takes."""
-    return [np.array(column, dtype) for column, dtype in zip(zip(*rows), _DTYPES)]
+    return [np.array(column, dtype) for column, (_, _, dtype) in zip(zip(*rows), RECORD_FIELDS)]
 
 
 def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
     """The record array of the column chunks, in order, with its ``key``. Takes
     each chunk out of ``chunks`` as it is copied in, never holding all at once."""
-    names = [name for name, _ in RECORD_FIELDS]
-    empty = [np.array([], dtype) for dtype in _DTYPES]
+    names = [name for _, name, _ in RECORD_FIELDS]
+    empty = [np.array([], dtype) for _, _, dtype in RECORD_FIELDS]
     # a string field is as wide as its widest chunk, and one character wide with no chunks
     dtypes = [np.concatenate([c[:0] for c in parts]).dtype for parts in zip(empty, *chunks)]
-    records = np.recarray(sum(len(c[0]) for c in chunks), [*zip(names, dtypes), RECORD_FIELDS[-1]])
+    records = np.recarray(sum(len(c[0]) for c in chunks), [*zip(names, dtypes), ("key", np.int64)])
     filled = 0
     while chunks:
         columns = chunks.pop(0)
         for name, column in zip(names, columns):
             records[name][filled : filled + len(column)] = column
         filled += len(columns[0])
-    records["key"] = _keys([records[name] for name in names[:4]])
+    records["key"] = _keys([records[name] for name in ("period", "reporter", "partner", "hs2")])
     return records
 
 
 def record_array(rows) -> np.recarray:
     """The record array of ``rows``, in their order.
 
-    Each row is ``(period, reporter, partner, hs2, value_usd,
-    first_submitted_at, last_updated_at)``: a month, three strings, a float
-    and two UTC instants, where a month or an instant is anything numpy
-    converts to the field's dtype (an integer offset from 1970-01 in months
-    or from 1970-01-01T00:00:00 in seconds, a ``datetime64``, a ``date`` or a
-    naive ``datetime``). Rows are not checked; :func:`parse_records`
-    validates them first. The fields are listed in :data:`RECORD_FIELDS`.
+    Each row holds the :data:`RECORD_FIELDS` fields in order: a month,
+    three strings, a float and two UTC instants, where a month or an instant
+    is anything numpy converts to the field's dtype (an integer offset from
+    1970-01 in months or from 1970-01-01T00:00:00 in seconds, a
+    ``datetime64``, a ``date`` or a naive ``datetime``). Rows are not
+    checked; :func:`parse_records` validates them first.
     """
     rows = iter(rows)
     chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
@@ -354,23 +342,6 @@ def parse_records(path) -> np.recarray:
             lines_done += len(chunk)
             del chunk, text  # before the next chunk is read, so that two are never held
     return _assemble(chunks)
-
-
-def serialize_records(records: np.recarray, path) -> None:
-    """Write records back out in the canonical column order (UTC timestamps)."""
-    columns = [
-        np.char.replace(np.datetime_as_string(records.period), "-", ""),
-        records.reporter,
-        records.partner,
-        records.hs2,
-        map(repr, records.value_usd.tolist()),
-        np.char.add(np.datetime_as_string(records.first_submitted_at), "Z"),
-        np.char.add(np.datetime_as_string(records.last_updated_at), "Z"),
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows(zip(*columns))
 
 
 def apply_vintage(records: np.recarray, policy: VintagePolicy) -> np.recarray:

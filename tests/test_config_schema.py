@@ -1,12 +1,13 @@
 """The run-config schema: any single bad value is a ConfigError or valid,
-valid configs round-trip, and the README documents each key."""
+and valid configs round-trip."""
 
 import copy
+import io
 import json
-import re
 import signal
-from contextlib import contextmanager
-from dataclasses import MISSING, fields, is_dataclass
+import tempfile
+import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import breaklens.pipeline as pipeline
+from breaklens.cli import main
 from breaklens.errors import ConfigError
 from breaklens.ols import SE_TYPES
 from breaklens.pipeline import RunConfig
@@ -24,7 +25,6 @@ from breaklens.series import TRANSFORMS
 from util import set_path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-README = Path(__file__).resolve().parent.parent / "README.md"
 DEMO = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
 
 
@@ -125,6 +125,57 @@ def test_valid_configs_round_trip(raw):
     assert canonical(config.to_dict()) == canonical(raw)
 
 
+#: Label text, with the characters and lengths that cannot name a file or be
+#: written as UTF-8 drawn often: NUL, a lone surrogate, "/" and 300 characters.
+LABELS = st.lists(
+    st.text(min_size=1, max_size=4) | st.sampled_from(["\0", "\ud800", "/", "x" * 300]), min_size=1, max_size=3
+).map("".join)
+
+
+@st.composite
+def relabeled_configs(draw):
+    """A valid config whose series and vintage labels may be redrawn, with
+    every reference to them following."""
+    raw = draw(valid_configs())
+    renamed = {}
+    for entry in raw["series"] + raw["vintages"]:
+        if draw(st.booleans()):
+            renamed[entry["label"]] = entry["label"] = draw(LABELS)
+    def follow(label):
+        return renamed.get(label, label)
+
+    audit = raw["audits"][0]
+    audit["series"], audit["vintage"] = follow(audit["series"]), follow(audit["vintage"])
+    if raw["rdd"]:
+        raw["rdd"]["vintage"] = follow(raw["rdd"]["vintage"])
+    if raw["panels"]:
+        raw["panels"] = [[transform, follow(vintage)] for transform, vintage in raw["panels"]]
+    return raw
+
+
+EXIT_PREFIXES = {1: "config error: ", 2: "data error: ", 3: "estimation error: "}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(relabeled_configs())
+def test_drawn_configs_run_to_a_named_outcome(raw):
+    raw["data_file"] = str(FIXTURES / raw["data_file"])
+    raw["audits"][0]["target_file"] = str(FIXTURES / raw["audits"][0]["target_file"])
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        with warnings.catch_warnings(), time_limit(5.0):
+            warnings.simplefilter("ignore")
+            code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    named = [line for line in err.splitlines() if line.startswith(tuple(EXIT_PREFIXES.values()))]
+    if code == 0:
+        assert not named, err
+    else:
+        assert len(named) == 1 and named[0].startswith(EXIT_PREFIXES[code]), (code, err)
+
+
 def leaf_paths(value, path="") -> list[str]:
     """JSON paths of the scalars and empty containers in a config."""
     if isinstance(value, dict) and value:
@@ -163,29 +214,3 @@ def test_any_single_leaf_change_validates_or_is_a_config_error(path, value):
             RunConfig.from_dict(raw).validate(FIXTURES)
         except ConfigError:
             pass
-
-
-# -- documentation --------------------------------------------------------------
-
-
-def schema_keys(cls, prefix=""):
-    """(JSON path, default as shown in the README) of every key in the schema."""
-    for f in fields(cls):
-        path = f"{prefix}{f.name}"
-        if f.default is not MISSING:
-            default = json.dumps(pipeline._dump(f.metadata["kind"], f.default))
-        elif f.default_factory is not MISSING:
-            default = json.dumps(f.default_factory())
-        else:
-            default = "required"
-        yield path, default
-        kind = f.metadata["kind"]
-        if isinstance(kind, list) and kind[-1] is ...:
-            kind, path = kind[0], path + "[]"
-        if is_dataclass(kind):
-            yield from schema_keys(kind, path + ".")
-
-
-def test_readme_field_table_matches_schema():
-    rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| `?([^|`]+?)`? \|", README.read_text(), re.M)
-    assert dict(rows) == dict(schema_keys(RunConfig))

@@ -14,12 +14,13 @@ import pytest
 import breaklens.pipeline as pipeline
 from breaklens.cli import main
 from breaklens.errors import ConfigError
-from breaklens.months import month_diff
+from breaklens.months import add_months, month_diff
 from breaklens.pipeline import RunConfig, export_figure_data, load_config, run_pipeline
 from breaklens.rdd_local_poly import RddSpec, rd_estimate
 from breaklens.series import read_series_csv
 from breaklens.trade_ingest import (
     BUILTIN_CATEGORY_SETS,
+    RECORD_COLUMNS,
     VintagePolicy,
     aggregate_series,
     apply_vintage,
@@ -267,6 +268,39 @@ class TestFigureData:
             elif t <= 28:
                 assert row[2] == "" and row[3] != ""
                 assert float(row[3]) == pytest.approx(12 + 0.2 * t, abs=1e-8)
+
+
+def test_projection_below_zero_runs_end_to_end(tmp_path):
+    # chapter 02 falls by 3 a month from 90 before the 2017-08 cutoff and is
+    # flat at 50 after it, so the pre-trend line 6 - 3t touches zero at
+    # 2017-10 (t = 2) and first goes below it at 2017-11
+    months = [add_months(date(2015, 4, 1), k) for k in range(57)]
+    values = [90 - 3 * k if k < 28 else 50 for k in range(57)]
+    stamp = "2020-01-01T00:00:00Z"
+    rows = [f"{m:%Y%m},VEN,DEU,02,{v * 1_000_000},{stamp},{stamp}" for m, v in zip(months, values)]
+    lines = [",".join(RECORD_COLUMNS), *rows, ""]
+    (tmp_path / "records.csv").write_text("\n".join(lines), encoding="utf-8")
+    config = {
+        "data_file": "records.csv",
+        "series": [{"label": "meat", "category_set": "anova_food"}],
+        "vintages": [{"label": "latest"}],
+        "transforms": ["levels", "log"],
+        "trend_break": {"cutoff_month": "2017-08"},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]) == 0
+
+    results = json.loads((tmp_path / "out" / "results.json").read_text(encoding="utf-8"))
+    levels = results["trend_break"][0]["coef"]
+    assert (levels["alpha0"], levels["alpha2"]) == (pytest.approx(6), pytest.approx(-3))
+    cells = [(r["transform"], r["feasible"], r["zero_crossing_month"]) for r in results["trend_break"]]
+    assert cells == [("levels", False, "2017-11"), ("log", None, None)]
+    assert "Panel: levels, vintage latest" in (tmp_path / "out" / "tables" / "trend_table.txt").read_text()
+    with open(tmp_path / "out" / "figures" / "meat_levels_latest.csv", newline="") as fh:
+        projected = {row["month"]: float(row["counterfactual"]) for row in csv.DictReader(fh) if row["counterfactual"]}
+    # the sign of each projected month, up to rounding: zero at 2017-10, below from 2017-11
+    signs = {month: (value > 1e-9) - (value < -1e-9) for month, value in projected.items()}
+    assert list(signs.values()) == [1, 1, 0] + [-1] * (len(signs) - 3) and list(signs)[3] == "2017-11"
 
 
 def _records_argv(command, data, fixtures_dir, tmp_path):
@@ -624,8 +658,15 @@ BAD_INPUTS = [
     ("panels", [["log", "latest"], ["log", "latest"]], "panels"),
     ("category_sets", {"pair": ["02", "02"]}, "category_sets.pair"),
     ("series[2].label", "full/food", "figures"),  # its figures are full_food's
-    ("series[2].label", "a\u0000b", "figures"),  # no file name holds NUL
-    ("series[2].label", "x" * 300, "figures"),  # nor more than 255 bytes
+    ("series[2].label", "x" * 300, "figures"),  # no file name holds more than 255 bytes
+    # no config string holds NUL or a lone surrogate, which UTF-8 cannot encode
+    ("series[2].label", "a\u0000b", "series[2].label"),
+    ("series[2].label", "a\ud800b", "series[2].label"),
+    ("vintages[1].label", "a\ud800b", "vintages[1].label"),
+    ("audits[0].label", "a\ud800b", "audits[0].label"),
+    ("output_dir", "a\ud800b", "output_dir"),
+    ("output_dir", "a\u0000b", "output_dir"),
+    ("category_sets", {"a\ud800b": ["02"]}, "category_sets"),
 ]
 
 

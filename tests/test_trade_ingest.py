@@ -29,7 +29,6 @@ from breaklens.trade_ingest import (
     category_share,
     parse_records,
     record_array,
-    serialize_records,
 )
 from conftest import FIXTURES, REPO_ROOT
 from util import (
@@ -128,21 +127,6 @@ class TestParseRecords:
         path.write_text("period,reporter_code\n", encoding="utf-8")
         with pytest.raises(DataError, match="missing columns"):
             parse_records(path)
-
-    def test_parse_serialize_parse_roundtrip(self, tmp_path):
-        path = write(
-            tmp_path,
-            """\
-            201504,VEN,DEU,02,5000000.25,2015-08-03T10:15:30+02:00,2015-09-01T00:00:00Z
-            201607,VEN,USA,30,42,2016-09-10T23:59:59Z,2017-01-01T06:30:00Z
-            """,
-        )
-        first = parse_records(path)
-        out = tmp_path / "roundtrip.csv"
-        serialize_records(first, out)
-        again = parse_records(out)
-        assert again.dtype == first.dtype
-        assert again.tolist() == first.tolist()
 
 
 @pytest.fixture
