@@ -28,7 +28,7 @@ from .months import (
     parse_month,
     parse_timestamp,
 )
-from .rdd_local_poly import RddSpec, rd_estimate
+from .rdd_local_poly import RddSpec, rd_estimate, require_monthly_support
 from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
 from .tables import AUDIT_SIDES, audit_rows, render_tables
@@ -81,6 +81,12 @@ class Scalar:
             raise ConfigError(f"{path}: {e}") from e
 
 
+def _key_path(prefix: str, name: str) -> str:
+    """The JSON path of key ``name`` under ``prefix``; a key holding a newline
+    or another unprintable character is quoted, so an error stays one line."""
+    return prefix + (name if name.isprintable() else repr(name))
+
+
 def _load(kind, value, path: str):
     """Check and convert one JSON value of the given kind; errors name ``path``."""
     if isinstance(kind, Scalar):
@@ -99,12 +105,12 @@ def _load(kind, value, path: str):
     prefix = f"{path}." if path else ""
     if isinstance(kind, dict):
         ((key_kind, kind),) = kind.items()
-        return {_load(key_kind, name, path): _load(kind, v, prefix + name) for name, v in value.items()}
+        return {_load(key_kind, name, path): _load(kind, v, _key_path(prefix, name)) for name, v in value.items()}
     # a schema dataclass: an absent or null key takes its default, if it has one
     declared = {f.name: f for f in fields(kind)}
     for name in value:
         if name not in declared:
-            raise ConfigError(f"{prefix}{name}: unknown key")
+            raise ConfigError(f"{_key_path(prefix, name)}: unknown key")
     loaded = {}
     for name, f in declared.items():
         if value.get(name) is not None:
@@ -280,7 +286,7 @@ class RunConfig:
             try:
                 CategorySet(name, frozenset(codes))
             except ValueError as e:
-                raise ConfigError(f"category_sets.{name}: {e}") from e
+                raise ConfigError(f"{_key_path('category_sets.', name)}: {e}") from e
         for i, s in enumerate(self.series):
             if s.category_set not in self.category_sets | BUILTIN_CATEGORY_SETS:
                 raise ConfigError(f"series[{i}].category_set: unknown category set {s.category_set!r}")
@@ -298,7 +304,10 @@ class RunConfig:
             if self.rdd.vintage not in vintages:
                 raise ConfigError(f"rdd.vintage: {self.rdd.vintage!r} is not declared")
             for estimand in self.rdd.estimands:
-                self.rdd_spec(estimand)
+                try:
+                    require_monthly_support(self.rdd_spec(estimand))
+                except SpecError as e:
+                    raise ConfigError(f"rdd.{e.field}: {e.message}") from e
         for i, a in enumerate(self.audits):
             if a.series not in series:
                 raise ConfigError(f"audits[{i}].series: unknown series {a.series!r}")
@@ -327,12 +336,12 @@ def _unique(path: str, values, writers=None) -> None:
             if writers is None:
                 raise ConfigError(f"{path}: {value!r} appears more than once")
             j = values.index(value, i + 1)
-            raise ConfigError(f"{path}: cells {writers[i]} and {writers[j]} both write {value}")
+            raise ConfigError(f"{path}: cells {writers[i]!r} and {writers[j]!r} both write {value!r}")
 
 
 def _require_file(base_dir: Path, path: str, name: str) -> None:
     if not (Path(base_dir) / name).is_file():
-        raise ConfigError(f"{path}: file not found: {name}")
+        raise ConfigError(f"{path}: file not found: {name!r}")
 
 
 def load_config(path) -> RunConfig:

@@ -18,6 +18,7 @@ asymptotics an approximation.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -152,7 +153,11 @@ def _fit_side(u, y, p, h, kernel, label) -> _SideFit:
     Z = np.vander(uu / s, p + 1, increasing=True)
     ZtW = Z.T * ww
     gram = ZtW @ Z
-    if np.linalg.matrix_rank(gram) < p + 1:
+    # np.linalg.matrix_rank's test without its wrapper: the rank is below
+    # p + 1 when the smallest singular value is at most its tolerance, the
+    # largest (svd sorts them descending) times max(shape) * eps
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] <= sv[0] * ((p + 1) * np.finfo(float).eps):
         raise EstimationError(
             f"{label}: singular local design (p={p}, h={h:.4g}, "
             f"{len(pos)} weighted points)"
@@ -221,8 +226,9 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, label) -> _SideParts:
     var_conv = float(np.sum((fac * main.proj[nu]) ** 2 * sigma2_main))
     # combined linear form of the bias-corrected estimate over the side points
     l_comb = np.zeros(len(u))
-    np.add.at(l_comb, main.idx, fac * main.proj[nu])
-    np.add.at(l_comb, pilot.idx, -phi * pilot.proj[p + 1])
+    # each fit's idx comes from flatnonzero, so its entries are distinct
+    l_comb[main.idx] += fac * main.proj[nu]
+    l_comb[pilot.idx] += -phi * pilot.proj[p + 1]
     # every positively weighted main point is inside the pilot window
     # (b >= h, as pilot_factor >= 1)
     sigma2_full = np.zeros(len(u))
@@ -251,6 +257,7 @@ def _moment_sq(kernel, j):
     return 1.0 / (j + 1)
 
 
+@functools.cache
 def _kernel_constants(kernel, p, nu):
     """Asymptotic bias and variance constants of the boundary estimator."""
     idx = np.arange(p + 1)
@@ -334,6 +341,27 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
         _min_admitting_h(ur, p + 2, kernel, pad),
     )
     return float(max(h, needed))
+
+
+def require_monthly_support(spec: RddSpec) -> None:
+    """A manual bandwidth that gives the months before the cutoff
+    (t = -1, -2, ...) fewer positively weighted points than a side fit needs,
+    p + 1 at h and p + 2 at the pilot width b, is a SpecError on ``bandwidth``.
+
+    The side from the cutoff on also holds t = 0, and a missing month only
+    lowers a count, so a spec that passes can still fail on its data."""
+    if spec.bandwidth == MSE_OPTIMAL:
+        return
+    p, h = spec.resolved_order, float(spec.bandwidth)
+    for name, width, need in (("h", h, p + 1), ("b", spec.pilot_factor * h, p + 2)):
+        months = -np.arange(1.0, need + 1)
+        have = int(np.count_nonzero(_kernel_weight(months / width, spec.kernel)))
+        if have < need:
+            raise SpecError(
+                "bandwidth",
+                f"{spec.estimand} fit: {have} months before the cutoff carry "
+                f"{spec.kernel} weight inside {name}={width:.4g}, need >= {need}",
+            )
 
 
 def _series_points(series: MonthlySeries, spec: RddSpec):

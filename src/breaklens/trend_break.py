@@ -170,11 +170,11 @@ def fit_trend_break(series: MonthlySeries, spec: TrendBreakSpec) -> TrendBreakFi
         alpha1=float(fit.coef[1]),
         alpha2=float(fit.coef[2]),
         alpha3=float(fit.coef[3]),
-        se=tuple(float(s) for s in fit.se),
-        t_stats=tuple(float(v) for v in fit.t_stats),
-        p_values=tuple(float(v) for v in fit.p_values),
+        se=tuple(fit.se.tolist()),
+        t_stats=tuple(fit.t_stats.tolist()),
+        p_values=tuple(fit.p_values.tolist()),
         r_squared=float(fit.r_squared),
-        residuals=tuple(float(r) for r in fit.residuals),
+        residuals=tuple(fit.residuals.tolist()),
         t_values=tuple(t.astype(int).tolist()),
         n_pre=n_pre,
         n_post=n_post,

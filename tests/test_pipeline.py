@@ -89,7 +89,7 @@ class TestConfig:
         raw["series"] = [{"label": label, "category_set": "anova_food"} for label in ("a_levels", "a")]
         raw["vintages"] = [{"label": "v"}, {"label": "log_v"}]
         raw.update(panels=None, rdd=None, audits=[])
-        message = "figures: cells a_levels/log/v and a/levels/log_v both write a_levels_log_v.csv"
+        message = "figures: cells 'a_levels/log/v' and 'a/levels/log_v' both write 'a_levels_log_v.csv'"
         with pytest.raises(ConfigError, match=f"^{message}$"):
             RunConfig.from_dict(raw).validate(fixtures_dir_module)
 
@@ -667,6 +667,11 @@ BAD_INPUTS = [
     ("output_dir", "a\ud800b", "output_dir"),
     ("output_dir", "a\u0000b", "output_dir"),
     ("category_sets", {"a\ud800b": ["02"]}, "category_sets"),
+    # too narrow for whole months: the level fit's left side has 0 and 1 weighted
+    # months at h = 1 and 2, the slope fit's 2 of 3 at h = 2.5
+    ("rdd.bandwidth", 1, "rdd.bandwidth"),
+    ("rdd.bandwidth", 2, "rdd.bandwidth"),
+    ("rdd.bandwidth", 2.5, "rdd.bandwidth"),
 ]
 
 
@@ -691,3 +696,54 @@ def test_bad_config_is_rejected_before_ingest(
     assert "Traceback" not in err
     lines = [line for line in err.splitlines() if line.startswith("config error:")]
     assert len(lines) == 1 and f" {named}: " in lines[0], err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # the two cells write figures/a\nb_levels_log_v.csv
+        {
+            "series": [{"label": label, "category_set": "anova_food"} for label in ("a\nb_levels", "a\nb")],
+            "vintages": [{"label": "v"}, {"label": "log_v"}],
+            "panels": None,
+            "rdd": None,
+            "audits": [],
+        },
+        {"tren\nd": 1},
+        {"category_sets": {"a\nb": ["0x"]}},
+        {"data_file": "a\nb.csv"},
+    ],
+    ids=["colliding_labels", "unknown_key", "category_set_key", "missing_file"],
+)
+def test_config_text_with_a_newline_gives_one_error_line(edit, fixtures_dir_module, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+    raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+    raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+    raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+    raw.update(edit)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and "\\n" in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "kernel, bandwidth, accepted",
+    [
+        ("triangular", 2, False),  # |t| < h: only t = -1
+        ("triangular", 2.01, True),  # t = -1, -2 at h; t = -1..-3 at b = 3.015
+        ("uniform", 2, True),  # |t| <= h: t = -1, -2 at h; t = -1..-3 at b = 3
+        ("uniform", 1.99, False),
+    ],
+)
+def test_manual_bandwidth_boundary_for_the_level_fit(kernel, bandwidth, accepted, fixtures_dir_module):
+    raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+    raw["rdd"].update(estimands=["level"], kernel=kernel, bandwidth=bandwidth)
+    config = RunConfig.from_dict(raw)
+    if accepted:
+        config.validate(fixtures_dir_module)
+    else:
+        with pytest.raises(ConfigError, match="^rdd.bandwidth: level fit: 1 months before the cutoff"):
+            config.validate(fixtures_dir_module)

@@ -3,6 +3,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from breaklens.errors import EstimationError, SpecError
@@ -133,6 +135,45 @@ class TestLocalPolyFit:
         ]
         assert [f.n_left for f in fits] == sorted(f.n_left for f in fits)
         assert [f.n_right for f in fits] == sorted(f.n_right for f in fits)
+
+
+def reference_rank(u, p, h, kernel) -> int:
+    """``np.linalg.matrix_rank`` of the weighted gram matrix ``_fit_side`` builds."""
+    w = _kernel_weight(u / h, kernel)
+    pos = np.flatnonzero(w > 0)
+    if len(pos) == 0:
+        return 0
+    s = float(np.max(np.abs(u[pos]))) or 1.0
+    Z = np.vander(u[pos] / s, p + 1, increasing=True)
+    return int(np.linalg.matrix_rank((Z.T * w[pos]) @ Z))
+
+
+@st.composite
+def side_designs(draw):
+    """One side's months k (repeats allowed) placed at offset + spread * k, a
+    bandwidth in the same units, an order up to 10 and a kernel; a tiny spread
+    far from the cutoff leaves every node close to one point after scaling."""
+    months = np.array(draw(st.lists(st.integers(0, 40), min_size=1, max_size=30)), dtype=float)
+    spread = draw(st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]))
+    offset = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    h = offset + spread * draw(st.floats(0.5, 45.0))
+    kernel = draw(st.sampled_from(["triangular", "uniform"]))
+    return sign * (offset + spread * months), draw(st.integers(0, 10)), h, kernel
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(side_designs())
+@example((-np.arange(67.0, 0.0, -1.0), 10, 20.0, "triangular"))  # the near-singular design below
+@example((-np.arange(1.0, 25.0), 2, 12.0, "uniform"))
+def test_fit_side_raises_exactly_when_matrix_rank_is_short(design):
+    u, p, h, kernel = design
+    y = np.cos(u)
+    if reference_rank(u, p, h, kernel) < p + 1:
+        with pytest.raises(EstimationError):
+            _fit_side(u, y, p, h, kernel, "left")
+    else:
+        assert _fit_side(u, y, p, h, kernel, "left").beta.shape == (p + 1,)
 
 
 class TestRdEstimate:
