@@ -28,7 +28,7 @@ from .months import (
     parse_month,
     parse_timestamp,
 )
-from .rdd_local_poly import RddSpec, rd_estimate, require_monthly_support
+from .rdd_local_poly import MSE_OPTIMAL, RddSpec, rd_estimate, require_monthly_support
 from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
 from .tables import AUDIT_SIDES, audit_rows, render_tables
@@ -267,7 +267,8 @@ class RunConfig:
     def validate(self, base_dir: Path) -> None:
         """Check what the typed parse cannot: empty lists, colliding figure
         files, references between keys, files, the calendar, and the
-        estimator settings, the last by building every spec the run will use."""
+        estimator settings, the last by building every spec the run will use
+        and fitting each discontinuity spec once on its sample's months."""
         for name in ("series", "vintages", "transforms"):
             if not getattr(self, name):
                 raise ConfigError(f"{name}: must not be empty")
@@ -304,10 +305,13 @@ class RunConfig:
             if self.rdd.vintage not in vintages:
                 raise ConfigError(f"rdd.vintage: {self.rdd.vintage!r} is not declared")
             for estimand in self.rdd.estimands:
+                spec = self.rdd_spec(estimand)
                 try:
-                    require_monthly_support(self.rdd_spec(estimand))
-                except SpecError as e:
-                    raise ConfigError(f"rdd.{e.field}: {e.message}") from e
+                    require_monthly_support(spec)
+                except EstimationError as e:
+                    # a manual width is the key the fit failed at, else the sample
+                    name = "bandwidth_sample" if spec.bandwidth == MSE_OPTIMAL else "bandwidth"
+                    raise ConfigError(f"rdd.{name}: {estimand} fit: {e}") from e
         for i, a in enumerate(self.audits):
             if a.series not in series:
                 raise ConfigError(f"audits[{i}].series: unknown series {a.series!r}")

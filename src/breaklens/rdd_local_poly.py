@@ -267,6 +267,8 @@ def _kernel_constants(kernel, p, nu):
     S_inv = np.linalg.inv(S)
     c1 = math.factorial(nu) * float((S_inv @ c)[nu]) / math.factorial(p + 1)
     c2 = math.factorial(nu) ** 2 * float((S_inv @ G @ S_inv)[nu, nu])
+    if not c2 > 0:  # S is Hilbert-like: at high p, rounding swamps its inverse
+        raise EstimationError(f"order-{p} {kernel} kernel constants are lost to rounding (variance constant {c2:.3g})")
     return c1, c2
 
 
@@ -318,6 +320,8 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
     spread = float(np.std(tt))  # > 0: each curvature fit had p+3 distinct months
     exponent = 1.0 / (2 * p + 3)
 
+    # read before the branch, so that a fit on any values checks them
+    c1, c2 = _kernel_constants(kernel, p, nu)
     scale = max(1.0, float(np.std(np.concatenate([yl, yr]))))
     if abs(bias_gap) < 1e-12 * scale:
         warnings.warn(
@@ -329,7 +333,6 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
         density = float(np.sum(np.abs(tt) <= window)) / (n * 2.0 * window)
         if density <= 0:
             raise EstimationError("no observations near the cutoff")
-        c1, c2 = _kernel_constants(kernel, p, nu)
         numerator = (1 + 2 * nu) * c2 * (sig2_l + sig2_r)
         denominator = 2 * (p + 1 - nu) * c1**2 * bias_gap**2 * density * n
         h = (numerator / denominator) ** exponent
@@ -341,27 +344,6 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
         _min_admitting_h(ur, p + 2, kernel, pad),
     )
     return float(max(h, needed))
-
-
-def require_monthly_support(spec: RddSpec) -> None:
-    """A manual bandwidth that gives the months before the cutoff
-    (t = -1, -2, ...) fewer positively weighted points than a side fit needs,
-    p + 1 at h and p + 2 at the pilot width b, is a SpecError on ``bandwidth``.
-
-    The side from the cutoff on also holds t = 0, and a missing month only
-    lowers a count, so a spec that passes can still fail on its data."""
-    if spec.bandwidth == MSE_OPTIMAL:
-        return
-    p, h = spec.resolved_order, float(spec.bandwidth)
-    for name, width, need in (("h", h, p + 1), ("b", spec.pilot_factor * h, p + 2)):
-        months = -np.arange(1.0, need + 1)
-        have = int(np.count_nonzero(_kernel_weight(months / width, spec.kernel)))
-        if have < need:
-            raise SpecError(
-                "bandwidth",
-                f"{spec.estimand} fit: {have} months before the cutoff carry "
-                f"{spec.kernel} weight inside {name}={width:.4g}, need >= {need}",
-            )
 
 
 def _series_points(series: MonthlySeries, spec: RddSpec):
@@ -412,3 +394,15 @@ def rd_estimate_xy(t, y, spec: RddSpec) -> RddFit:
 def rd_estimate(series: MonthlySeries, spec: RddSpec) -> RddFit:
     """Discontinuity estimate for a monthly series under the given spec."""
     return rd_estimate_xy(*_series_points(series, spec), spec)
+
+
+def require_monthly_support(spec: RddSpec) -> None:
+    """Fit ``spec`` on every month of its ``bandwidth_sample`` with placeholder
+    values. Each check a fit can fail reads only the months (the MSE-optimal
+    width reads the values, but keeps p + 2 points a side), so the
+    EstimationError this raises is the one a fit on those months would raise."""
+    start, end = (month_diff(month, spec.cutoff_month) for month in spec.bandwidth_sample)
+    t = np.arange(start, end + 1, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero values take the rule-of-thumb width
+        rd_estimate_xy(t, np.zeros_like(t), spec)

@@ -1,7 +1,9 @@
 """The run-config schema: any single bad value is a ConfigError or valid,
-and valid configs round-trip."""
+valid configs round-trip, drawn configs end in a named outcome, and
+validation accepts exactly the discontinuity settings that fit."""
 
 import copy
+import functools
 import io
 import json
 import signal
@@ -16,12 +18,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from breaklens.cli import main
-from breaklens.errors import ConfigError
+from breaklens.errors import ConfigError, EstimationError
 from breaklens.ols import SE_TYPES
 from breaklens.pipeline import RunConfig
-from breaklens.rdd_local_poly import KERNELS, VARIANCES
+from breaklens.rdd_local_poly import KERNELS, VARIANCES, rd_estimate
 from breaklens.replication_audit import DISTANCE_METRICS
-from breaklens.series import TRANSFORMS
+from breaklens.series import TRANSFORMS, MonthlySeries
+from breaklens.trade_ingest import aggregate_series, parse_records
 from util import set_path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -56,13 +59,65 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+#: Month indices (year * 12 + month - 1) of 2012-01 and 2020-12, the months drawn.
+FIRST, LAST = 2012 * 12, 2020 * 12 + 11
+
+
+def month_text(i: int) -> str:
+    return f"{i // 12:04d}-{i % 12 + 1:02d}"
+
+
 def months():
-    return st.builds("{:04d}-{:02d}".format, st.integers(2012, 2020), st.integers(1, 12))
+    return st.integers(FIRST, LAST).map(month_text)
 
 
 @st.composite
-def valid_configs(draw):
-    """Canonical JSON of a config that loads and validates against the fixtures."""
+def rdd_sections(draw, labels, fits=False):
+    """An ``rdd`` section. With ``fits``, each estimand's fit passes on every
+    month of the sample: the cutoff lies at least p + 4 months inside each end
+    of it, for the curvature fit, and a manual width is at least p + 3, for
+    p + 2 weighted months before the cutoff, where p is the larger order."""
+    if fits:
+        level, slope = draw(st.none() | st.integers(0, 4)), draw(st.none() | st.integers(1, 4))
+        margin = max(1 if level is None else level, 2 if slope is None else slope) + 4
+        at = draw(st.integers(FIRST + margin, LAST - margin))
+        cutoff = month_text(at)
+        sample = [month_text(draw(st.integers(FIRST, at - margin))), month_text(draw(st.integers(at + margin, LAST)))]
+        widths = st.integers(margin - 1, 40) | st.floats(margin - 1, 40.0)
+    else:
+        sample = sorted(draw(st.lists(months(), min_size=2, max_size=2)))
+        cutoff = draw(months())
+        widths = st.integers(1, 40) | st.floats(0.5, 40.0)
+    section = {
+        "cutoff_month": cutoff,
+        "estimands": draw(st.lists(st.sampled_from(["level", "slope"]), max_size=2, unique=True)),
+        "kernel": draw(st.sampled_from(KERNELS)),
+        "bandwidth": draw(st.just("mse_optimal") | widths),
+        "bandwidth_sample": sample,
+        "transform": draw(st.sampled_from(TRANSFORMS)),
+        "vintage": draw(st.sampled_from(labels)),
+    }
+    if fits:
+        section["poly_order_level"], section["poly_order_slope"] = level, slope
+    else:
+        # orders past 4 reach rank-deficient fits and rounded-away kernel constants
+        section["poly_order_level"] = draw(st.none() | st.integers(0, 4) | st.integers(0, 40))
+        section["poly_order_slope"] = draw(st.none() | st.integers(1, 4) | st.integers(1, 40))
+    section["pilot_factor"] = draw(st.floats(1.0, 3.0) | st.integers(1, 3))
+    section["variance"] = draw(st.sampled_from(VARIANCES))
+    return section
+
+
+#: Text a config string may hold: no NUL and no lone surrogate.
+CONFIG_TEXT = st.text(st.characters(exclude_categories=["Cs"], exclude_characters="\0"), min_size=1, max_size=8)
+
+
+@st.composite
+def demo_configs(draw, valid=True):
+    """Canonical JSON of a config on the demo's files. With ``valid`` it loads
+    and validates against the fixtures; without, its ``rdd`` section and
+    ``output_dir`` are drawn as widely as their JSON types allow, so the fit
+    check and the text check may reject them."""
     raw = copy.deepcopy(DEMO)
     labels = [v["label"] for v in raw["vintages"]]
     tb = raw["trend_break"]
@@ -75,25 +130,7 @@ def valid_configs(draw):
     raw["transforms"] = draw(st.lists(st.sampled_from(TRANSFORMS), min_size=1, max_size=2, unique=True))
     pairs = st.tuples(st.sampled_from(raw["transforms"]), st.sampled_from(labels)).map(list)
     raw["panels"] = draw(st.none() | st.lists(pairs, max_size=3, unique_by=tuple))
-    if draw(st.booleans()):
-        start, end = sorted(draw(st.lists(months(), min_size=2, max_size=2)))
-        raw["rdd"] = {
-            "cutoff_month": draw(months()),
-            "estimands": draw(st.lists(st.sampled_from(["level", "slope"]), max_size=2, unique=True)),
-            "kernel": draw(st.sampled_from(KERNELS)),
-            "bandwidth": draw(
-                st.just("mse_optimal") | st.integers(1, 40) | st.floats(0.5, 40.0)
-            ),
-            "bandwidth_sample": [start, end],
-            "transform": draw(st.sampled_from(TRANSFORMS)),
-            "vintage": draw(st.sampled_from(labels)),
-            "poly_order_level": draw(st.none() | st.integers(0, 4)),
-            "poly_order_slope": draw(st.none() | st.integers(1, 4)),
-            "pilot_factor": draw(st.floats(1.0, 3.0) | st.integers(1, 3)),
-            "variance": draw(st.sampled_from(VARIANCES)),
-        }
-    else:
-        raw["rdd"] = None
+    raw["rdd"] = draw(st.none() | rdd_sections(labels, fits=valid))
     audit = raw["audits"][0]
     audit["metric"] = draw(st.sampled_from(DISTANCE_METRICS))
     if draw(st.booleans()):
@@ -107,7 +144,7 @@ def valid_configs(draw):
     raw["category_sets"] = draw(
         st.dictionaries(st.sampled_from(["cereals", "oils", "x"]), st.lists(codes, min_size=1, max_size=4, unique=True))
     )
-    raw["output_dir"] = draw(st.text(min_size=1, max_size=8))
+    raw["output_dir"] = draw(CONFIG_TEXT if valid else st.text(min_size=1, max_size=8))
     raw["seed"] = draw(st.none() | st.integers())
     return raw
 
@@ -117,7 +154,7 @@ def canonical(raw) -> str:
 
 
 @settings(PROPERTY_SETTINGS, max_examples=30)
-@given(valid_configs())
+@given(demo_configs())
 def test_valid_configs_round_trip(raw):
     config = RunConfig.from_dict(raw)
     config.validate(FIXTURES)
@@ -134,9 +171,10 @@ LABELS = st.lists(
 
 @st.composite
 def relabeled_configs(draw):
-    """A valid config whose series and vintage labels may be redrawn, with
-    every reference to them following."""
-    raw = draw(valid_configs())
+    """A config drawn as widely as ``demo_configs(valid=False)`` draws, whose
+    series and vintage labels may be redrawn, with every reference to them
+    following."""
+    raw = draw(demo_configs(valid=False))
     renamed = {}
     for entry in raw["series"] + raw["vintages"]:
         if draw(st.booleans()):
@@ -156,24 +194,95 @@ def relabeled_configs(draw):
 EXIT_PREFIXES = {1: "config error: ", 2: "data error: ", 3: "estimation error: "}
 
 
+def run_cli(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, with warnings silenced."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        with warnings.catch_warnings(), time_limit(5.0):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    return code, err.getvalue()
+
+
 @settings(PROPERTY_SETTINGS, max_examples=60)
 @given(relabeled_configs())
 def test_drawn_configs_run_to_a_named_outcome(raw):
     raw["data_file"] = str(FIXTURES / raw["data_file"])
     raw["audits"][0]["target_file"] = str(FIXTURES / raw["audits"][0]["target_file"])
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+    with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        with warnings.catch_warnings(), time_limit(5.0):
-            warnings.simplefilter("ignore")
-            code = main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])
-    err = err.getvalue()
-    assert "Traceback" not in err
-    named = [line for line in err.splitlines() if line.startswith(tuple(EXIT_PREFIXES.values()))]
-    if code == 0:
-        assert not named, err
-    else:
-        assert len(named) == 1 and named[0].startswith(EXIT_PREFIXES[code]), (code, err)
+        outcomes = [run_cli(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])]
+        # audit writes under output_dir, which no flag overrides, and a drawn
+        # one may name any directory
+        raw["output_dir"] = "out"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        outcomes.append(run_cli(["audit", "--config", str(config)]))
+    for code, err in outcomes:
+        assert "Traceback" not in err
+        named = [line for line in err.splitlines() if line.startswith(tuple(EXIT_PREFIXES.values()))]
+        if code == 0:
+            assert not named, err
+        else:
+            assert len(named) == 1 and named[0].startswith(EXIT_PREFIXES[code]), (code, err)
+
+
+@functools.cache
+def demo_levels() -> list[MonthlySeries]:
+    """The levels series of each demo series at the latest vintage, over
+    every month a drawn sample can hold."""
+    config = RunConfig.from_dict(DEMO)
+    records = parse_records(FIXTURES / config.data_file)
+    span = (date(2012, 1, 1), date(2020, 12, 1))
+    return [aggregate_series(records, config.resolve_category_set(s.category_set), span) for s in config.series]
+
+
+@st.composite
+def rdd_edges(draw):
+    """An ``rdd`` section on the demo's levels, drawn about the edges of what
+    a fit accepts: sample ends near p + 4 months from the cutoff, manual
+    widths near p + 1, and orders up to where the fits break down."""
+    at = draw(st.integers(FIRST + 12, LAST - 12))
+    ends = st.integers(-2, 12) | st.integers(-2, 100)
+    start, end = max(at - draw(ends), FIRST), min(at + draw(ends), LAST)
+    return {
+        "cutoff_month": month_text(at),
+        "bandwidth_sample": [month_text(i) for i in sorted([start, end])],
+        "kernel": draw(st.sampled_from(KERNELS)),
+        "bandwidth": draw(st.just("mse_optimal") | st.integers(1, 12) | st.floats(0.5, 40.0)),
+        "poly_order_level": draw(st.none() | st.integers(0, 6) | st.integers(0, 40)),
+        "poly_order_slope": draw(st.none() | st.integers(1, 6) | st.integers(1, 40)),
+        "pilot_factor": draw(st.floats(1.0, 3.0)),
+        "variance": draw(st.sampled_from(VARIANCES)),
+        "estimands": ["level", "slope"],
+        "transform": "levels",
+    }
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(rdd_edges())
+# the uniform kernel's order-16 constants are lost to rounding
+@example(rdd=DEMO["rdd"] | {"kernel": "uniform", "poly_order_level": 16, "transform": "levels"})
+def test_validation_accepts_exactly_the_rdd_settings_that_fit(rdd):
+    """On levels, every month of the sample is in the series a run fits, so
+    validation's fit on the sample's months fails exactly when a run's does."""
+    raw = copy.deepcopy(DEMO)
+    raw["rdd"] = rdd
+    config = RunConfig.from_dict(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            config.validate(FIXTURES)
+            accepted = True
+        except ConfigError:
+            accepted = False
+        fits = True
+        for series in demo_levels():
+            for estimand in config.rdd.estimands:
+                try:
+                    rd_estimate(series, config.rdd_spec(estimand))
+                except EstimationError:
+                    fits = False
+    assert accepted == fits
 
 
 def leaf_paths(value, path="") -> list[str]:

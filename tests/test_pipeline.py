@@ -270,16 +270,20 @@ class TestFigureData:
                 assert float(row[3]) == pytest.approx(12 + 0.2 * t, abs=1e-8)
 
 
+def _write_chapter_02(path, values) -> None:
+    """A canonical records file with one chapter-02 row a month from 2015-04,
+    ``values`` in millions of USD."""
+    stamp = "2020-01-01T00:00:00Z"
+    months = [add_months(date(2015, 4, 1), k) for k in range(len(values))]
+    rows = [f"{m:%Y%m},VEN,DEU,02,{v * 1_000_000},{stamp},{stamp}" for m, v in zip(months, values)]
+    path.write_text("\n".join([",".join(RECORD_COLUMNS), *rows, ""]), encoding="utf-8")
+
+
 def test_projection_below_zero_runs_end_to_end(tmp_path):
     # chapter 02 falls by 3 a month from 90 before the 2017-08 cutoff and is
     # flat at 50 after it, so the pre-trend line 6 - 3t touches zero at
     # 2017-10 (t = 2) and first goes below it at 2017-11
-    months = [add_months(date(2015, 4, 1), k) for k in range(57)]
-    values = [90 - 3 * k if k < 28 else 50 for k in range(57)]
-    stamp = "2020-01-01T00:00:00Z"
-    rows = [f"{m:%Y%m},VEN,DEU,02,{v * 1_000_000},{stamp},{stamp}" for m, v in zip(months, values)]
-    lines = [",".join(RECORD_COLUMNS), *rows, ""]
-    (tmp_path / "records.csv").write_text("\n".join(lines), encoding="utf-8")
+    _write_chapter_02(tmp_path / "records.csv", [90 - 3 * k if k < 28 else 50 for k in range(57)])
     config = {
         "data_file": "records.csv",
         "series": [{"label": "meat", "category_set": "anova_food"}],
@@ -411,21 +415,24 @@ class TestCli:
         assert main(["run", "--config", str(cfg_dir / "config.json")]) == 2
         assert "data error" in capsys.readouterr().err
 
-    def test_estimation_failure_exit_three(self, fixtures_dir_module, tmp_path, capsys):
-        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
-        # more polynomial terms than points on the shorter side of the cutoff
-        raw["rdd"]["poly_order_slope"] = 40
-        raw["audits"] = []
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(raw), encoding="utf-8")
-        import shutil
-
-        shutil.copy(fixtures_dir_module / "demo_records.csv", tmp_path / "demo_records.csv")
+    def test_estimation_failure_exit_three(self, tmp_path, capsys):
+        # chapter 02 is zero in every month of the 2015-04..2017-07 pre window
+        # but 2016-01, so the log transform leaves that segment one month: a
+        # failure only the data can cause
+        _write_chapter_02(tmp_path / "records.csv", [0 if k < 28 and k != 9 else 50 for k in range(57)])
+        config = {
+            "data_file": "records.csv",
+            "series": [{"label": "anova_food", "category_set": "anova_food"}],
+            "vintages": [{"label": "latest"}],
+            "transforms": ["log"],
+            "trend_break": {"cutoff_month": "2017-08"},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+            warnings.simplefilter("ignore")  # the log transform drops the zeros
+            assert main(["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert "estimation error" in err
+        assert "estimation error" in err and "got 1 pre" in err
         assert "anova_food" in err  # stage context names the series
 
     def test_ingest_roundtrip(self, fixtures_dir_module, tmp_path):
@@ -672,6 +679,14 @@ BAD_INPUTS = [
     ("rdd.bandwidth", 1, "rdd.bandwidth"),
     ("rdd.bandwidth", 2, "rdd.bandwidth"),
     ("rdd.bandwidth", 2.5, "rdd.bandwidth"),
+    # the level fit's order-3 curvature fit needs 5 months on each side of the
+    # 2017-08 cutoff: the sample leaves 2 before it, 3 from it on, and none
+    ("rdd.bandwidth_sample", ["2017-06", "2020-12"], "rdd.bandwidth_sample"),
+    ("rdd.bandwidth_sample", ["2012-01", "2017-10"], "rdd.bandwidth_sample"),
+    ("rdd.bandwidth_sample", ["2012-01", "2016-12"], "rdd.bandwidth_sample"),
+    # the curvature fit of order p + 2 is rank deficient on the sample's months
+    ("rdd.poly_order_level", 30, "rdd.bandwidth_sample"),
+    ("rdd.poly_order_slope", 40, "rdd.bandwidth_sample"),
 ]
 
 
@@ -745,5 +760,38 @@ def test_manual_bandwidth_boundary_for_the_level_fit(kernel, bandwidth, accepted
     if accepted:
         config.validate(fixtures_dir_module)
     else:
-        with pytest.raises(ConfigError, match="^rdd.bandwidth: level fit: 1 months before the cutoff"):
+        with pytest.raises(ConfigError, match=r"^rdd\.bandwidth: level fit: left side: only 1 observations "):
             config.validate(fixtures_dir_module)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # h = 10 gives the level fit p + 1 = 2 weighted months before the
+        # cutoff, but the pilot width b = 15 needs p + 2 = 3 and the sample
+        # holds only 2017-06 and 2017-07 there
+        (
+            {"bandwidth_sample": ["2017-06", "2020-12"], "bandwidth": 10},
+            "rdd.bandwidth: level fit: left pilot (b=15): only 2 observations "
+            "carry positive weight inside h=15, need >= 3",
+        ),
+        # the MSE-optimal width's variance constant comes out negative
+        (
+            {"kernel": "uniform", "poly_order_level": 16},
+            "rdd.bandwidth_sample: level fit: order-16 uniform kernel constants are lost to rounding",
+        ),
+    ],
+    ids=["sample_short_for_the_pilot", "kernel_constants_lost"],
+)
+def test_rdd_settings_that_no_series_can_fit(edit, message, fixtures_dir_module, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+    raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+    raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+    raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+    raw["rdd"].update(edit)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines

@@ -424,6 +424,15 @@ class TestKernelConstants:
     def test_triangular_local_linear_level(self):
         assert _kernel_constants("triangular", 1, 0) == pytest.approx((-0.05, 4.8), rel=1e-12)
 
+    def test_constants_lost_to_rounding_are_an_estimation_error(self):
+        """At order 16 the inverted uniform moment matrix gives a negative
+        variance constant, which once made the MSE-optimal width complex."""
+        records = parse_records(FIXTURES / "demo_records.csv")
+        series = aggregate_series(records, ANOVA_FOOD, (date(2012, 1, 1), date(2020, 12, 1)))
+        spec = RddSpec(cutoff_month=CUTOFF, kernel="uniform", poly_order=16)
+        with pytest.raises(EstimationError, match="^order-16 uniform kernel constants are lost to rounding"):
+            rd_estimate(series, spec)
+
     @pytest.mark.parametrize("estimand, p, nu", [("level", 1, 0), ("slope", 2, 1)])
     def test_uniform_mse_optimal_on_the_demo_series(self, estimand, p, nu):
         """Only the kernel constants tell the kernels' MSE-optimal widths
