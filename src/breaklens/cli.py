@@ -5,13 +5,14 @@ Subcommands:
   audit   run only the series-audit stages of a config and print the table
   ingest  parse a records file, apply a vintage cutoff and write one series
 
-Exit codes: 0 success, 1 config validation error, 2 data error,
+Exit codes: 0 success, 1 config validation or usage error, 2 data error,
 3 estimation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -29,8 +30,25 @@ from .trade_ingest import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's exit 2
+        raise ConfigError(message)
+
+
+def _file_name(value: str) -> str:
+    """A path flag's value, if a file can have that name: no NUL, and text the file
+    system encoding writes (as it writes a byte the shell passed as a surrogate escape)."""
+    try:
+        encoded = os.fsencode(value)
+    except UnicodeEncodeError:
+        encoded = b"\0"
+    if b"\0" in encoded:
+        raise argparse.ArgumentTypeError(f"no file can have the name {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="breaklens",
         description=(
             "Reconstruct partner-reported import series at historical data "
@@ -40,27 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the full pipeline from a config file")
-    run_p.add_argument("--config", required=True, help="path to the JSON run config")
-    run_p.add_argument("--out", default=None, help="output directory (default: config output_dir)")
+    run_p.add_argument("--config", required=True, type=_file_name, help="path to the JSON run config")
+    run_p.add_argument("--out", type=_file_name, help="output directory (default: config output_dir)")
 
     audit_p = sub.add_parser("audit", help="run only the audit stages of a config")
-    audit_p.add_argument("--config", required=True, help="path to the JSON run config")
+    audit_p.add_argument("--config", required=True, type=_file_name, help="path to the JSON run config")
 
-    ingest_p = sub.add_parser(
-        "ingest", help="aggregate a records file into one monthly series"
-    )
-    ingest_p.add_argument("--data", required=True, help="trade records CSV")
-    ingest_p.add_argument(
-        "--vintage",
-        default=None,
-        help="ISO-8601 cutoff; omit to keep all records (latest data)",
-    )
-    ingest_p.add_argument(
-        "--series",
-        required=True,
-        help=f"category set name ({', '.join(sorted(BUILTIN_CATEGORY_SETS))})",
-    )
-    ingest_p.add_argument("--out", required=True, help="output series CSV")
+    ingest_p = sub.add_parser("ingest", help="aggregate a records file into one monthly series")
+    ingest_p.add_argument("--data", required=True, type=_file_name, help="trade records CSV")
+    ingest_p.add_argument("--vintage", help="ISO-8601 cutoff; omit to keep all records (latest data)")
+    ingest_p.add_argument("--series", required=True, choices=sorted(BUILTIN_CATEGORY_SETS), help="category set name")
+    ingest_p.add_argument("--out", required=True, type=_file_name, help="output series CSV")
     return parser
 
 
@@ -81,11 +89,6 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    if args.series not in BUILTIN_CATEGORY_SETS:
-        raise ConfigError(
-            f"unknown category set {args.series!r}; "
-            f"choose from {', '.join(sorted(BUILTIN_CATEGORY_SETS))}"
-        )
     category = BUILTIN_CATEGORY_SETS[args.series]
     policy = None
     if args.vintage is not None:
@@ -94,6 +97,8 @@ def _cmd_ingest(args) -> int:
         except ValueError as e:
             raise ConfigError(str(e)) from e
     records = parse_records(args.data)
+    if len(records) == 0:
+        raise DataError(f"{args.data}: no data rows")
     if policy is not None:
         records = apply_vintage(records, policy)
     if len(records) == 0:
@@ -106,9 +111,9 @@ def _cmd_ingest(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "audit": _cmd_audit, "ingest": _cmd_ingest}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,6 +1,7 @@
-"""Configuration-driven orchestration: validate, ingest, aggregate, then
-trend_break, rdd, audit and write. ``run_pipeline`` runs every stage;
-``run_audit`` runs the first three, then audit, and writes only audit.csv.
+"""Configuration-driven orchestration: validate, read and fit the audit
+targets, ingest, aggregate, then trend_break, rdd, audit and write.
+``run_pipeline`` runs every stage; ``run_audit`` aggregates only the audited
+cells (and reads no records without audits) and writes only audit.csv.
 
 A run is described by a single JSON config (committed examples live under
 ``configs/`` and ``fixtures/``), checked in full before the data file is
@@ -367,11 +368,9 @@ def _stage(stage: str, label: str = ""):
     where = f"{stage}:{label}" if label else stage
     try:
         yield
-    except DataError as e:
-        raise DataError(f"[{where}] {e}") from e
     except EstimationError as e:
         raise EstimationError(f"[{where}] {e}") from e
-    except OSError as e:
+    except (DataError, OSError) as e:
         raise DataError(f"[{where}] {e}") from e
 
 
@@ -472,34 +471,42 @@ def _aggregation_span(config: RunConfig) -> tuple[date, date]:
     return min(starts), max(ends)
 
 
-def _prepare(config: RunConfig, base_dir: Path):
-    """Validate, ingest and aggregate: the records plus the levels series
-    for every (series label, vintage label)."""
+def _prepare(config: RunConfig, base_dir: Path, cells: set[tuple[str, str]]):
+    """Validate; read and fit each audit target, so that one the trend window
+    cannot fit ends the run before the records are read; then, unless ``cells``
+    is empty, parse the records and aggregate the levels series of each
+    (series label, vintage label) in it."""
     config.validate(base_dir)
+    targets = {}
+    for audit in config.audits:
+        with _stage("audit", audit.label):
+            target = read_series_csv(base_dir / audit.target_file, SeriesMeta(transform=LEVELS, label=audit.label))
+            fit_trend_break(target, config.trend_spec(LEVELS))
+        targets[audit.label] = target
+    categories = {s.label: config.resolve_category_set(s.category_set) for s in config.series}
+    if not cells:
+        return targets, None, categories, {}
     with _stage("ingest", config.data_file):
         records = parse_records(base_dir / config.data_file)
     span = _aggregation_span(config)
     series_map: dict[tuple[str, str], MonthlySeries] = {}
     for vintage in config.vintages:
-        if vintage.cutoff is None:
-            kept = records
-        else:
-            kept = apply_vintage(records, VintagePolicy(cutoff_instant=vintage.cutoff))
-        for sdef in config.series:
-            with _stage("aggregate", f"{sdef.label}/{vintage.label}"):
-                cat = config.resolve_category_set(sdef.category_set)
-                series_map[(sdef.label, vintage.label)] = aggregate_series(kept, cat, span, label=sdef.label)
-    return records, series_map
+        labels = [s.label for s in config.series if (s.label, vintage.label) in cells]
+        if not labels:
+            continue
+        kept = records if vintage.cutoff is None else apply_vintage(records, VintagePolicy(vintage.cutoff))
+        for label in labels:
+            with _stage("aggregate", f"{label}/{vintage.label}"):
+                series_map[(label, vintage.label)] = aggregate_series(kept, categories[label], span, label=label)
+        del kept  # before the next vintage's copy is made, so that two are never held
+    return targets, records, categories, series_map
 
 
-def _audit(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]:
+def _audit(config: RunConfig, targets, records, categories, series_map) -> list[dict]:
     results = []
     for audit in config.audits:
         with _stage("audit", audit.label):
-            target = read_series_csv(
-                base_dir / audit.target_file,
-                SeriesMeta(transform=LEVELS, label=audit.label),
-            )
+            target = targets[audit.label]
             reconstructed = series_map[(audit.series, audit.vintage)]
             paired = coefficient_audit(target, reconstructed, config.trend_spec(LEVELS))
             comparison = paired.comparison
@@ -518,16 +525,8 @@ def _audit(config: RunConfig, base_dir: Path, records, series_map) -> list[dict]
                 "vintage_search": None,
             }
             if audit.search is not None:
-                cat = config.resolve_category_set(
-                    next(s.category_set for s in config.series if s.label == audit.series)
-                )
-                search = search_vintage_date(
-                    records,
-                    target,
-                    audit.search.candidates(),
-                    cat,
-                    metric=audit.metric,
-                )
+                cat = categories[audit.series]
+                search = search_vintage_date(records, target, audit.search.candidates(), cat, metric=audit.metric)
                 record["vintage_search"] = {
                     "best": format_timestamp(search.best),
                     "metric": audit.metric,
@@ -551,12 +550,12 @@ def _audit_coef(fit: TrendBreakFit) -> dict:
 
 
 def run_audit(config: RunConfig, base_dir) -> tuple[list[dict], Path]:
-    """Validate, ingest, aggregate and audit; write audit.csv under the
-    config's ``output_dir`` when audits are configured. Returns the audit
-    records plus the output directory."""
+    """Validate, read and fit the audit targets, ingest, aggregate the audited
+    cells only and audit; write audit.csv under the config's ``output_dir``
+    when audits are configured. Returns the audit records plus the output directory."""
     base_dir = Path(base_dir)
-    records, series_map = _prepare(config, base_dir)
-    audit_records = _audit(config, base_dir, records, series_map)
+    prepared = _prepare(config, base_dir, {(a.series, a.vintage) for a in config.audits})
+    audit_records = _audit(config, *prepared)
     out_path = base_dir / config.output_dir
     if audit_records:
         with _stage("write", str(out_path)):
@@ -573,7 +572,8 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
     figures/<series>_<transform>_<vintage>.csv.
     """
     base_dir = Path(base_dir)
-    records, series_map = _prepare(config, base_dir)
+    cells = {(s.label, v.label) for s in config.series for v in config.vintages}
+    targets, records, categories, series_map = _prepare(config, base_dir, cells)
     out_path = Path(out_dir) if out_dir is not None else base_dir / config.output_dir
     tb = config.trend_break
     horizon = tb.post_window - 1 if tb.horizon is None else tb.horizon
@@ -606,7 +606,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
                     where = {"series": sdef.label, "transform": config.rdd.transform}
                     rdd_records.append(where | {"vintage": config.rdd.vintage} | fit)
 
-    audit_records = _audit(config, base_dir, records, series_map)
+    audit_records = _audit(config, targets, records, categories, series_map)
 
     results = {
         "config": config.to_dict(),

@@ -253,7 +253,8 @@ def _astype(text: np.ndarray, dtype) -> np.ndarray:
     numpy cannot read one, such as ``1e`` or February 30."""
     try:
         with np.errstate(over="ignore"):  # a value past the float range reads as inf
-            return text.astype(dtype)
+            # 500 at a time: numpy casts more without the GIL, and then segfaults on a bad date
+            return np.concatenate([text[i : i + 500].astype(dtype) for i in range(0, len(text), 500)])
     except ValueError:
         raise _NotCanonical from None
 

@@ -314,7 +314,7 @@ def test_vintage_series_helper_matches_demo_run(fixtures_dir):
     """The helper of criteria 9-12, which run only with the replication data,
     builds the series that the demo run aggregates for one set and vintage."""
     config = load_config(fixtures_dir / "demo_config.json")
-    _, series_map = _prepare(config, fixtures_dir)
+    *_, series_map = _prepare(config, fixtures_dir, {("anova_food", "2020-10-01")})
     want = series_map[("anova_food", "2020-10-01")]
     got = _vintage_series(parse_records(fixtures_dir / config.data_file), ANOVA_FOOD, OCT_2020)
     assert (got.start_month, got.end_month) == (want.start_month, want.end_month)

@@ -3,6 +3,7 @@ valid configs round-trip, drawn configs end in a named outcome, and
 validation accepts exactly the discontinuity settings that fit."""
 
 import copy
+import csv
 import functools
 import io
 import json
@@ -12,11 +13,13 @@ import warnings
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import breaklens.pipeline as pipeline
 from breaklens.cli import main
 from breaklens.errors import ConfigError, EstimationError
 from breaklens.ols import SE_TYPES
@@ -24,7 +27,8 @@ from breaklens.pipeline import RunConfig
 from breaklens.rdd_local_poly import KERNELS, VARIANCES, rd_estimate
 from breaklens.replication_audit import DISTANCE_METRICS
 from breaklens.series import TRANSFORMS, MonthlySeries
-from breaklens.trade_ingest import aggregate_series, parse_records
+from breaklens.trade_ingest import BUILTIN_CATEGORY_SETS, aggregate_series, parse_records
+from test_trade_ingest import MUTATIONS
 from util import set_path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -208,22 +212,86 @@ def run_cli(argv) -> tuple[int, str]:
 def test_drawn_configs_run_to_a_named_outcome(raw):
     raw["data_file"] = str(FIXTURES / raw["data_file"])
     raw["audits"][0]["target_file"] = str(FIXTURES / raw["audits"][0]["target_file"])
+
+    def run_counting_parses(argv):
+        with mock.patch.object(pipeline, "parse_records", wraps=parse_records) as parse:
+            return (*run_cli(argv), parse.call_count)
+
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        outcomes = [run_cli(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])]
+        outcomes = [run_counting_parses(["run", "--config", str(config), "--out", str(Path(tmp) / "out")])]
         # audit writes under output_dir, which no flag overrides, and a drawn
         # one may name any directory
         raw["output_dir"] = "out"
         config.write_text(json.dumps(raw), encoding="utf-8")
-        outcomes.append(run_cli(["audit", "--config", str(config)]))
-    for code, err in outcomes:
-        assert "Traceback" not in err
-        named = [line for line in err.splitlines() if line.startswith(tuple(EXIT_PREFIXES.values()))]
-        if code == 0:
-            assert not named, err
-        else:
-            assert len(named) == 1 and named[0].startswith(EXIT_PREFIXES[code]), (code, err)
+        outcomes.append(run_counting_parses(["audit", "--config", str(config)]))
+    for code, err, parses in outcomes:
+        assert_named_outcome(code, err)
+        # the audit target is fitted before the records are read
+        if err.startswith("estimation error: [audit:") and " fit window is " in err:
+            assert parses == 0, err
+
+
+def assert_named_outcome(code: int, err: str) -> None:
+    """Exit 0 with no error line, or 1, 2 or 3 with one line under the
+    matching prefix; never a traceback."""
+    assert "Traceback" not in err
+    named = [line for line in err.splitlines() if line.startswith(tuple(EXIT_PREFIXES.values()))]
+    if code == 0:
+        assert not named, err
+    else:
+        assert len(named) == 1 and named[0].startswith(EXIT_PREFIXES[code]), (code, err)
+
+
+#: ``--vintage`` values: valid ones, ones at the edges of years 1-9999, and garbage.
+VINTAGES = (
+    st.sampled_from(["2020-10-01T00:00:00Z", "2018-06-01", "2020-10-01T00:00:00+05:00", "2015-01-01T00:00:00z"])
+    | st.sampled_from(
+        ["0001-01-01T00:00:00Z", "0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59Z", "9999-12-31T23:59:59-01:00"]
+    )
+    | st.text(max_size=12)
+    | st.sampled_from(["-1", "--series", ""])
+)
+
+
+with open(FIXTURES / "demo_records.csv", newline="", encoding="utf-8") as fh:
+    DEMO_RECORDS = list(csv.reader(fh))
+
+
+@st.composite
+def ingest_arguments(draw):
+    """``breaklens ingest`` flags but ``--data`` and ``--out``: a built-in or
+    hostile ``--series`` and an absent, valid, edge or garbage ``--vintage``;
+    and the records, None for the demo file or its rows with one mutated as a
+    ``MUTATIONS`` case mutates it."""
+    # mostly a built-in name, so that most draws reach the vintage and the records
+    hostile = LABELS | st.text(max_size=8) | st.sampled_from(["-x", "--out", "-"])
+    series = draw(hostile if draw(st.integers(0, 3)) == 0 else st.sampled_from(sorted(BUILTIN_CATEGORY_SETS)))
+    vintage = draw(st.none() | VINTAGES)
+    flags = ["--series", series] + ([] if vintage is None else ["--vintage", vintage])
+    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
+    if mutation is None:
+        return flags, None
+    header, *rows = [row.copy() for row in DEMO_RECORDS]
+    field, mutate = mutation
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    row[header.index(field)] = mutate(row[header.index(field)])
+    return flags, [header, *rows]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(ingest_arguments())
+def test_drawn_ingest_arguments_run_to_a_named_outcome(drawn):
+    flags, rows = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        data = FIXTURES / "demo_records.csv"
+        if rows is not None:
+            data = Path(tmp) / "records.csv"
+            with open(data, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        code, err = run_cli(["ingest", "--data", str(data), *flags, "--out", str(Path(tmp) / "series.csv")])
+    assert_named_outcome(code, err)
 
 
 @functools.cache

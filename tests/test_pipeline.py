@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import breaklens.cli as cli
 import breaklens.pipeline as pipeline
 from breaklens.cli import main
 from breaklens.errors import ConfigError
@@ -408,12 +413,30 @@ class TestCli:
             "201504,VEN,DEU,02,-1,2015-01-01T00:00:00Z,2015-01-01T00:00:00Z\n",
             encoding="utf-8",
         )
-        (cfg_dir / "demo_extracted_food.csv").write_text(
-            "month,value_usd_millions\n2015-04,1.0\n", encoding="utf-8"
-        )
+        # the audit target is read first, so it must cover the fit window
+        shutil.copy(fixtures_dir_module / "demo_extracted_food.csv", cfg_dir)
         (cfg_dir / "config.json").write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(cfg_dir / "config.json")]) == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_bad_target_is_reported_before_the_records_are_read(
+        self, command, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        data = tmp_path / "records.csv"
+        data.write_bytes(BAD_RECORD_FILES["undecodable"][0])
+        target = tmp_path / "target.csv"
+        target.write_text("month,value_usd_millions\n2015-04,1.0\n", encoding="utf-8")
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw.update(data_file=str(data), output_dir=str(tmp_path / "o"))
+        raw["audits"][0]["target_file"] = str(target)
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 3
+        assert capsys.readouterr().err == (
+            "estimation error: [audit:food_extracted] series spans 2015-04..2015-04 "
+            "but the fit window is 2015-04..2019-12\n"
+        )
 
     def test_estimation_failure_exit_three(self, tmp_path, capsys):
         # chapter 02 is zero in every month of the 2015-04..2017-07 pre window
@@ -614,6 +637,76 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == "no audits configured\n"
         assert not (tmp_path / "out" / "audit.csv").exists()
+
+
+    def test_audit_aggregates_only_the_audited_cell(self, fixtures_dir_module, tmp_path, monkeypatch, capsys):
+        aggregate, vintage = mock.Mock(wraps=aggregate_series), mock.Mock(wraps=apply_vintage)
+        monkeypatch.setattr(pipeline, "aggregate_series", aggregate)
+        monkeypatch.setattr(pipeline, "apply_vintage", vintage)
+        argv = _audit_argv(fixtures_dir_module / "demo_extracted_food.csv", fixtures_dir_module, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) == 0
+        # the demo audits anova_food at the 2020-10-01 vintage; the vintage
+        # search filters and aggregates through its own module's names
+        assert [call.args[1].name for call in aggregate.call_args_list] == ["anova_food"]
+        assert [call.args[1] for call in vintage.call_args_list] == [VintagePolicy(ts(2020, 10, 1))]
+
+    def test_audit_without_audits_reads_no_records(self, fixtures_dir_module, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw.update(data_file=str(fixtures_dir_module / raw["data_file"]), audits=[])
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["audit", "--config", str(tmp_path / "config.json")]) == 0
+        assert capsys.readouterr().out == "no audits configured\n"
+
+    @pytest.mark.parametrize("vintage", [None, "2020-10-01T00:00:00Z"])
+    def test_ingest_of_a_header_only_file_names_the_file(self, vintage, tmp_path, capsys):
+        data = tmp_path / "records.csv"
+        data.write_bytes(_HEADER + b"\n")
+        argv = ["ingest", "--data", str(data), "--series", "medicines", "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ([] if vintage is None else ["--vintage", vintage])) == 2
+        assert capsys.readouterr().err == f"data error: {data}: no data rows\n"
+
+    @pytest.mark.parametrize(
+        "command, flag", [("run", "--config"), ("run", "--out"), ("audit", "--config"), ("ingest", "--data"), ("ingest", "--out")]
+    )
+    @pytest.mark.parametrize("name", ["a\0b", "a\ud800b"], ids=["nul", "lone-surrogate"])
+    def test_path_flag_that_no_file_can_have(self, command, flag, name, fixtures_dir_module, tmp_path, monkeypatch, capsys):
+        argv = {
+            "run": ["run", "--config", str(fixtures_dir_module / "demo_config.json"), "--out", str(tmp_path / "o")],
+            "audit": ["audit", "--config", str(fixtures_dir_module / "demo_config.json")],
+            "ingest": ["ingest", "--data", str(fixtures_dir_module / "demo_records.csv"), "--series", "medicines",
+                       "--out", str(tmp_path / "s.csv")],
+        }[command]
+        argv[argv.index(flag) + 1] = name
+        # nothing is read: the flag is refused as the arguments are parsed
+        monkeypatch.setattr(cli, "load_config", _refuse_ingest)
+        monkeypatch.setattr(cli, "parse_records", _refuse_ingest)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: argument {flag}: no file can have the name {name!r}\n"
+
+    def test_path_flags_take_a_byte_the_shell_passed_as_a_surrogate_escape(self, fixtures_dir_module, tmp_path):
+        data, out = tmp_path / "records\udcff.csv", tmp_path / "series\udcff.csv"
+        shutil.copy(fixtures_dir_module / "demo_records.csv", data)
+        # a str stdout, as under a locale whose stdout writes surrogate escapes back as bytes
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["ingest", "--data", str(data), "--series", "medicines", "--out", str(out)]) == 0
+        assert stdout.getvalue() == f"wrote 108 months to {out}\n"
+        assert os.fsencode(out).endswith(b"series\xff.csv") and out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["run"], "the following arguments are required: --config"),
+            (["ingest", "--data", "r.csv", "--series", "-x", "--out", "s.csv"], "argument --series: expected one argument"),
+            (["audit", "--config", "c.json", "--out", "o"], "unrecognized arguments: --out o"),
+        ],
+    )
+    def test_usage_error_is_a_config_error(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class IngestStarted(Exception):

@@ -1,6 +1,7 @@
 import calendar
 import csv
 import io
+import os
 import subprocess
 import sys
 import textwrap
@@ -559,6 +560,23 @@ class TestParseMatchesRowWise:
             got = _outcome(parse_records, path)
         assert got[0] == "error"
         assert got == _outcome(reference_parse_records, path)
+
+    @pytest.mark.parametrize("field", RECORD_COLUMNS[-2:])
+    def test_bad_date_among_more_than_500_rows(self, tmp_path, field):
+        """A bad date among more than 500 canonical rows is the row-wise
+        parse's error. numpy's cast of that many bytes to datetime64 once
+        ended the process with a segmentation fault, so a child parses."""
+        with open(FIXTURES / "demo_records.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        rows[600][header.index(field)] = "2013-02-29T00:00:00Z"
+        path = tmp_path / "records.csv"
+        path.write_text(_csv_text([header, *rows]), encoding="utf-8", newline="")
+        code = "import sys\nfrom breaklens.trade_ingest import parse_records\n"
+        code += "try:\n    parse_records(sys.argv[1])\nexcept Exception as e:\n    print(e)\n"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == _outcome(reference_parse_records, path)[3] + "\n"
 
     @staticmethod
     def write_drawn(tmp_path_factory, rows):
