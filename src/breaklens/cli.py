@@ -36,15 +36,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _file_name(value: str) -> str:
-    """A path flag's value, if a file can have that name: no NUL, and text the file
-    system encoding writes (as it writes a byte the shell passed as a surrogate escape)."""
+    """A path flag's value, if a file can have that name: not empty, no NUL, and text
+    the file system encoding writes (as it writes a byte the shell passed as a
+    surrogate escape)."""
     try:
         encoded = os.fsencode(value)
     except UnicodeEncodeError:
         encoded = b"\0"
-    if b"\0" in encoded:
+    if not encoded or b"\0" in encoded:
         raise argparse.ArgumentTypeError(f"no file can have the name {value!r}")
     return value
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout, backslash-escaping what stdout cannot encode,
+    such as a byte the shell passed as a surrogate escape on a strict stdout."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.write(text.encode(sys.stdout.encoding, "backslashreplace").decode(sys.stdout.encoding))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     _, out_path = run_pipeline(load_config(args.config), Path(args.config).parent, out_dir=args.out)
-    print(f"wrote results to {out_path}")
+    _write(f"wrote results to {out_path}\n")
     return 0
 
 
@@ -83,8 +93,8 @@ def _cmd_audit(args) -> int:
     if not audit_records:
         print("no audits configured")
         return 0
-    sys.stdout.write(render_audit_table(audit_records))
-    print(f"wrote {out_path / 'audit.csv'}")
+    _write(render_audit_table(audit_records))
+    _write(f"wrote {out_path / 'audit.csv'}\n")
     return 0
 
 
@@ -106,7 +116,7 @@ def _cmd_ingest(args) -> int:
     span = (records.period.min().item(), records.period.max().item())
     series = aggregate_series(records, category, span, label=args.series)
     write_series_csv(series, args.out)
-    print(f"wrote {len(series)} months to {args.out}")
+    _write(f"wrote {len(series)} months to {args.out}\n")
     return 0
 
 

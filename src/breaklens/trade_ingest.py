@@ -26,14 +26,14 @@ from .months import as_utc, month_index, month_range, parse_number, parse_period
 from .series import MonthlySeries, SeriesMeta
 
 #: The columns a records file must have and the record array fields they
-#: fill, in order, with the fields' dtypes; ``str`` becomes a fixed-width
-#: string as wide as the longest value. The array ends with a computed
-#: ``int64`` field ``key`` (see :func:`_assemble`).
+#: fill, in order, with the fields' dtypes (``hs2`` is the chapter number,
+#: ``str`` a string as wide as the longest value). The array ends with a
+#: computed ``int64`` field ``key`` (see :func:`_assemble`).
 RECORD_FIELDS = (
     ("period", "period", "datetime64[M]"),
     ("reporter_code", "reporter", str),
     ("partner_code", "partner", str),
-    ("hs2_code", "hs2", str),
+    ("hs2_code", "hs2", np.uint8),
     ("value_usd", "value_usd", np.float64),
     ("first_submitted_at", "first_submitted_at", "datetime64[s]"),
     ("last_updated_at", "last_updated_at", "datetime64[s]"),
@@ -84,7 +84,7 @@ class CategorySet:
 
     def mask(self, records: np.recarray) -> np.ndarray:
         """Which records fall in this set's chapters."""
-        return np.isin(records.hs2, sorted(self.codes))
+        return np.isin(records.hs2, [int(c) for c in self.codes])
 
 
 #: Restricted food basket: chapters 02-08 and 20-24 only, i.e. without the
@@ -108,8 +108,8 @@ BUILTIN_CATEGORY_SETS = {s.name: s for s in (ANOVA_FOOD, FULL_FOOD, MEDICINES)}
 
 def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
     """One validated row in the form :func:`record_array` takes, with the
-    month and the timestamps as integer offsets from the 1970 epoch (the
-    fastest form for numpy to convert)."""
+    chapter as an int, and the month and the timestamps as integer offsets
+    from the 1970 epoch (the fastest forms for numpy to convert)."""
 
     def fail(field_name: str, message: str):
         raise RecordParseError(rownum, field_name, message)
@@ -152,7 +152,7 @@ def _parse_row(rownum: int, row: dict[str, str]) -> tuple:
     if first > last:
         fail("first_submitted_at", "is after last_updated_at")
 
-    return (period, reporter, partner, hs2, value, int(first.timestamp()), int(last.timestamp()))
+    return (period, reporter, partner, int(hs2), value, int(first.timestamp()), int(last.timestamp()))
 
 
 def _keys(columns: list[np.ndarray]) -> np.ndarray:
@@ -194,12 +194,12 @@ def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
 def record_array(rows) -> np.recarray:
     """The record array of ``rows``, in their order.
 
-    Each row holds the :data:`RECORD_FIELDS` fields in order: a month,
-    three strings, a float and two UTC instants, where a month or an instant
-    is anything numpy converts to the field's dtype (an integer offset from
-    1970-01 in months or from 1970-01-01T00:00:00 in seconds, a
-    ``datetime64``, a ``date`` or a naive ``datetime``). Rows are not
-    checked; :func:`parse_records` validates them first.
+    Each row holds the :data:`RECORD_FIELDS` fields in order: a month, two
+    strings, a chapter (an int or a code such as ``"02"``), a float and two
+    UTC instants; a month or an instant is anything numpy converts to the
+    field's dtype (an integer offset from 1970-01 in months or 1970-01-01 in
+    seconds, a ``datetime64``, a ``date`` or a naive ``datetime``). Rows
+    are not checked; :func:`parse_records` validates them first.
     """
     rows = iter(rows)
     chunks = iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
@@ -286,10 +286,10 @@ def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.nda
     period, reporter, partner, hs2, value, first, last = spans
 
     year, month = np.divmod(_fixed(buf, period, "yyyymm", np.int64), 100)
-    _require(((year >= 1) & (month >= 1) & (month <= 12)).all())
+    hs2 = _fixed(buf, hs2, "hh", np.uint8)
+    _require(((year >= 1) & (month >= 1) & (month <= 12)).all() and hs2.all())  # no chapter 00
     for start, stop in (reporter, partner):
         _require((stop > start).all() and not (_SPACE[buf[start]] | _SPACE[buf[stop - 1]]).any())
-    _require((_fixed(buf, hs2, "hh", np.int64) > 0).all())
     value = _strings(buf, value, "S")
     _require(_NUMBER[value.view(np.uint8)].all())
     value = _astype(value, np.float64)
@@ -298,8 +298,8 @@ def _canonical_chunk(text: str, index: list[int], n_columns: int) -> list[np.nda
     first, last = (_fixed(buf, span, stamp, "datetime64[s]") for span in (first, last))
     _require((first >= _FIRST_INSTANT).all() and (first <= last).all())  # numpy reads year 0
     months = (year * 12 + month - 1 - _EPOCH_MONTH).astype("datetime64[M]")
-    codes = [_strings(buf, span, "U") for span in (reporter, partner, hs2)]
-    return [months, *codes, value, first, last]
+    codes = [_strings(buf, span, "U") for span in (reporter, partner)]
+    return [months, *codes, hs2, value, first, last]
 
 
 def parse_records(path) -> np.recarray:

@@ -28,7 +28,7 @@ from breaklens.rdd_local_poly import KERNELS, VARIANCES, rd_estimate
 from breaklens.replication_audit import DISTANCE_METRICS
 from breaklens.series import TRANSFORMS, MonthlySeries
 from breaklens.trade_ingest import BUILTIN_CATEGORY_SETS, aggregate_series, parse_records
-from test_trade_ingest import MUTATIONS
+from test_trade_ingest import ARABIC_INDIC, MUTATIONS
 from util import set_path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -270,14 +270,23 @@ def ingest_arguments(draw):
     series = draw(hostile if draw(st.integers(0, 3)) == 0 else st.sampled_from(sorted(BUILTIN_CATEGORY_SETS)))
     vintage = draw(st.none() | VINTAGES)
     flags = ["--series", series] + ([] if vintage is None else ["--vintage", vintage])
-    mutation = draw(st.none() | st.sampled_from(MUTATIONS))
-    if mutation is None:
-        return flags, None
+    return flags, draw(st.none() | mutated_records())
+
+
+@st.composite
+def mutated_records(draw):
+    """The demo records' rows with one mutated as a ``MUTATIONS`` case mutates it."""
     header, *rows = [row.copy() for row in DEMO_RECORDS]
-    field, mutate = mutation
+    field, mutate = draw(st.sampled_from(MUTATIONS))
     row = rows[draw(st.integers(0, len(rows) - 1))]
     row[header.index(field)] = mutate(row[header.index(field)])
-    return flags, [header, *rows]
+    return [header, *rows]
+
+
+def write_rows(path: Path, rows) -> Path:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
@@ -285,12 +294,59 @@ def ingest_arguments(draw):
 def test_drawn_ingest_arguments_run_to_a_named_outcome(drawn):
     flags, rows = drawn
     with tempfile.TemporaryDirectory() as tmp:
-        data = FIXTURES / "demo_records.csv"
-        if rows is not None:
-            data = Path(tmp) / "records.csv"
-            with open(data, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
+        data = FIXTURES / "demo_records.csv" if rows is None else write_rows(Path(tmp) / "records.csv", rows)
         code, err = run_cli(["ingest", "--data", str(data), *flags, "--out", str(Path(tmp) / "series.csv")])
+    assert_named_outcome(code, err)
+
+
+DEMO_TARGET = (FIXTURES / "demo_extracted_food.csv").read_text(encoding="utf-8").splitlines()
+
+#: One data line of a series CSV, split into its month and value, and what is
+#: done to it; a lone surrogate is written as the byte it escapes.
+SERIES_MUTATIONS = (
+    lambda month, value: f"{month},nan",
+    lambda month, value: f"{month},-1",
+    lambda month, value: f"{month},1_0",
+    lambda month, value: f"{month},{value.translate(ARABIC_INDIC)}",
+    lambda month, value: f"{month.translate(ARABIC_INDIC)},{value}",
+    lambda month, value: f"2015-13,{value}",
+    lambda month, value: "",  # a skipped month
+    lambda month, value: f"{month},{value}\n{month},{value}",  # a repeated month
+    lambda month, value: month,
+    lambda month, value: f"{month},{value}\udcff",
+)
+
+
+@st.composite
+def mutated_target(draw):
+    """The demo audit target's text with one data line mutated by a ``SERIES_MUTATIONS`` case."""
+    header, *lines = DEMO_TARGET
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i] = draw(st.sampled_from(SERIES_MUTATIONS))(*lines[i].split(","))
+    return "\n".join([header, *lines]) + "\n"
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.sampled_from(["run", "audit"]), st.one_of(mutated_records(), mutated_target()))
+def test_mutated_input_files_run_to_a_named_outcome(command, mutated):
+    raw = copy.deepcopy(DEMO)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        raw["data_file"] = str(FIXTURES / raw["data_file"])
+        raw["audits"][0]["target_file"] = str(FIXTURES / raw["audits"][0]["target_file"])
+        if isinstance(mutated, list):
+            raw["data_file"] = str(write_rows(tmp / "records.csv", mutated))
+        else:
+            target = tmp / "target.csv"
+            target.write_text(mutated, encoding="utf-8", errors="surrogateescape")
+            raw["audits"][0]["target_file"] = str(target)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp / "out")],
+            "audit": ["audit", "--config", str(config)],
+        }[command]
+        code, err = run_cli(argv)
     assert_named_outcome(code, err)
 
 

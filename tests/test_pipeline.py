@@ -379,6 +379,19 @@ BAD_SERIES_FILES = {
 }
 
 
+def _cli_stdout(argv, stdout_encoding) -> bytes:
+    """The stdout of ``breaklens`` run on ``argv`` in a child process whose
+    stdout has ``PYTHONIOENCODING`` ``stdout_encoding``; it must exit 0 without a traceback."""
+    done = subprocess.run(
+        [sys.executable, "-m", "breaklens.cli", *map(str, argv)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent), "PYTHONIOENCODING": stdout_encoding},
+        timeout=120,
+    )
+    assert done.returncode == 0 and b"Traceback" not in done.stderr, done.stderr
+    return done.stdout
+
+
 class TestCli:
     def test_run_exit_zero(self, fixtures_dir_module, tmp_path, capsys):
         with warnings.catch_warnings():
@@ -671,7 +684,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, flag", [("run", "--config"), ("run", "--out"), ("audit", "--config"), ("ingest", "--data"), ("ingest", "--out")]
     )
-    @pytest.mark.parametrize("name", ["a\0b", "a\ud800b"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("name", ["a\0b", "a\ud800b", ""], ids=["nul", "lone-surrogate", "empty"])
     def test_path_flag_that_no_file_can_have(self, command, flag, name, fixtures_dir_module, tmp_path, monkeypatch, capsys):
         argv = {
             "run": ["run", "--config", str(fixtures_dir_module / "demo_config.json"), "--out", str(tmp_path / "o")],
@@ -694,6 +707,40 @@ class TestCli:
             assert main(["ingest", "--data", str(data), "--series", "medicines", "--out", str(out)]) == 0
         assert stdout.getvalue() == f"wrote 108 months to {out}\n"
         assert os.fsencode(out).endswith(b"series\xff.csv") and out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "audit", "ingest"])
+    @pytest.mark.parametrize("stdout_errors", ["strict", "surrogateescape"])
+    def test_a_written_path_is_escaped_only_where_stdout_cannot_encode_it(
+        self, command, stdout_errors, fixtures_dir_module, tmp_path
+    ):
+        # the directory of the config names audit.csv's path
+        base = tmp_path / "in\udcff"
+        base.mkdir()
+        for name in ("demo_config.json", "demo_records.csv", "demo_extracted_food.csv"):
+            shutil.copy(fixtures_dir_module / name, base)
+        config, out = base / "demo_config.json", tmp_path / "out\udcff"
+        argv, line = {
+            "run": (["run", "--config", config, "--out", out], f"wrote results to {out}"),
+            "audit": (["audit", "--config", config], f"wrote {base / 'out' / 'audit.csv'}"),
+            "ingest": (["ingest", "--data", base / "demo_records.csv", "--series", "medicines", "--out", out],
+                       f"wrote 108 months to {out}"),
+        }[command]
+        # a strict UTF-8 stdout cannot write the byte 0xff that the surrogate escapes
+        stdout = _cli_stdout(argv, f"utf-8:{stdout_errors}")
+        if stdout_errors == "strict":
+            assert stdout.endswith(line.replace("\udcff", "\\udcff").encode() + b"\n")
+        else:  # the byte itself, as before
+            assert stdout.endswith(os.fsencode(line) + b"\n")
+
+    def test_a_label_that_stdout_cannot_encode_is_escaped(self, fixtures_dir_module, tmp_path):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text(encoding="utf-8"))
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+        raw["audits"][0]["label"] = "f\u00f6\u00f6d"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        stdout = _cli_stdout(["audit", "--config", config], "ascii")
+        assert b"\nf\\xf6\\xf6d (series anova_food, vintage 2020-10-01)\n" in stdout
 
     @pytest.mark.parametrize(
         "argv, message",

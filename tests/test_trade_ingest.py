@@ -67,7 +67,7 @@ class TestParseRecords:
         assert len(records) == 3
         assert records[0].period == np.datetime64("2015-04")
         assert records[0].period.item() == date(2015, 4, 1)
-        assert records[0].hs2 == "02"
+        assert records[0].hs2 == 2
         assert records[0].value_usd == 5_000_000.0
         # offsets are normalized to UTC: 00:00+02:00 is 22:00 the day before
         assert records[1].first_submitted_at == np.datetime64("2015-09-09T22:00:00")
@@ -276,6 +276,25 @@ class TestCategorySets:
             CategorySet("bad", frozenset({"2"}))
         with pytest.raises(ValueError):
             CategorySet("empty", frozenset())
+
+    def test_chapters_are_numbers_that_sets_select_by_code(self, tmp_path):
+        codes = [f"{c:02d}" for c in range(1, 100)]
+        rows = [f"201504,VEN,DEU,{code},1,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z\n" for code in codes]
+        byte_path = write(tmp_path, "".join(rows))
+        quoted = write(tmp_path, "".join(r.replace("VEN", '"VEN"') for r in rows), "quoted.csv")
+        with mock.patch.object(trade_ingest, "_parse_row", _refuse_row_wise):
+            parsed = [parse_records(byte_path)]
+        with mock.patch.object(trade_ingest, "_parse_row", wraps=trade_ingest._parse_row) as row_wise:
+            parsed.append(parse_records(quoted))
+        assert row_wise.call_count == 99
+        custom = CategorySet("custom", frozenset({"01", "09", "10", "99"}))
+        for records in parsed:
+            # five 8-byte fields, two 3-character codes at 4 bytes a character, one byte of chapter
+            assert records.dtype["hs2"] == np.uint8 and records.itemsize == 5 * 8 + 2 * 12 + 1
+            assert records.hs2.tolist() == list(range(1, 100))
+            for category in (ANOVA_FOOD, FULL_FOOD, MEDICINES, custom):
+                assert category.mask(records).tolist() == [code in category.codes for code in codes]
+        assert records_of(record(hs2="02"), record(hs2=30)).hs2.tolist() == [2, 30]
 
 
 class TestCategoryShare:

@@ -71,7 +71,7 @@ def reference_series(records, category_set, months, cutoff=None):
     for r in records:
         if cutoff is not None and r.first_submitted_at > cutoff:
             continue
-        if r.hs2 not in category_set.codes:
+        if f"{r.hs2:02d}" not in category_set.codes:
             continue
         period = r.period.item()
         key = (period, r.reporter, r.partner, r.hs2)
