@@ -2,7 +2,7 @@
 
 Subcommands:
   run     execute the full configured pipeline into an output directory
-  audit   run only the series-audit stages of a config and print the table
+  audit   run a config's plan without the fits and print the audit table
   ingest  parse a records file, apply a vintage cutoff and write one series
 
 Exit codes: 0 success, 1 config validation or usage error, 2 data error,
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, EstimationError
 from .months import parse_timestamp
-from .pipeline import load_config, run_audit, run_pipeline
+from .pipeline import load_config, run_pipeline
 from .series import write_series_csv
 from .tables import render_audit_table
 from .trade_ingest import (
@@ -89,11 +89,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    audit_records, out_path = run_audit(load_config(args.config), Path(args.config).parent)
-    if not audit_records:
+    results, out_path = run_pipeline(load_config(args.config), Path(args.config).parent, audit_only=True)
+    if not results["audit"]:
         print("no audits configured")
         return 0
-    _write(render_audit_table(audit_records))
+    _write(render_audit_table(results["audit"]))
     _write(f"wrote {out_path / 'audit.csv'}\n")
     return 0
 
@@ -106,6 +106,9 @@ def _cmd_ingest(args) -> int:
             policy = VintagePolicy(cutoff_instant=parse_timestamp(args.vintage))
         except ValueError as e:
             raise ConfigError(str(e)) from e
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        open(args.out, "rb").close()  # reading fails as writing would, and makes no file
     records = parse_records(args.data)
     if len(records) == 0:
         raise DataError(f"{args.data}: no data rows")

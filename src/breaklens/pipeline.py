@@ -1,7 +1,7 @@
-"""Configuration-driven orchestration: validate, read and fit the audit
-targets, ingest, aggregate, then trend_break, rdd, audit and write.
-``run_pipeline`` runs every stage; ``run_audit`` aggregates only the audited
-cells (and reads no records without audits) and writes only audit.csv.
+"""Configuration-driven orchestration: validate, make the output directory,
+read and fit the audit targets, ingest, aggregate, then trend_break, rdd,
+audit and write. ``run_pipeline`` is the one executor; ``run`` takes every
+stage, ``audit`` the same plan without the fits (``audit_only``).
 
 A run is described by a single JSON config (committed examples live under
 ``configs/`` and ``fixtures/``), checked in full before the data file is
@@ -471,37 +471,6 @@ def _aggregation_span(config: RunConfig) -> tuple[date, date]:
     return min(starts), max(ends)
 
 
-def _prepare(config: RunConfig, base_dir: Path, cells: set[tuple[str, str]]):
-    """Validate; read and fit each audit target, so that one the trend window
-    cannot fit ends the run before the records are read; then, unless ``cells``
-    is empty, parse the records and aggregate the levels series of each
-    (series label, vintage label) in it."""
-    config.validate(base_dir)
-    targets = {}
-    for audit in config.audits:
-        with _stage("audit", audit.label):
-            target = read_series_csv(base_dir / audit.target_file, SeriesMeta(transform=LEVELS, label=audit.label))
-            fit_trend_break(target, config.trend_spec(LEVELS))
-        targets[audit.label] = target
-    categories = {s.label: config.resolve_category_set(s.category_set) for s in config.series}
-    if not cells:
-        return targets, None, categories, {}
-    with _stage("ingest", config.data_file):
-        records = parse_records(base_dir / config.data_file)
-    span = _aggregation_span(config)
-    series_map: dict[tuple[str, str], MonthlySeries] = {}
-    for vintage in config.vintages:
-        labels = [s.label for s in config.series if (s.label, vintage.label) in cells]
-        if not labels:
-            continue
-        kept = records if vintage.cutoff is None else apply_vintage(records, VintagePolicy(vintage.cutoff))
-        for label in labels:
-            with _stage("aggregate", f"{label}/{vintage.label}"):
-                series_map[(label, vintage.label)] = aggregate_series(kept, categories[label], span, label=label)
-        del kept  # before the next vintage's copy is made, so that two are never held
-    return targets, records, categories, series_map
-
-
 def _audit(config: RunConfig, targets, records, categories, series_map) -> list[dict]:
     results = []
     for audit in config.audits:
@@ -549,38 +518,58 @@ def _audit_coef(fit: TrendBreakFit) -> dict:
     }
 
 
-def run_audit(config: RunConfig, base_dir) -> tuple[list[dict], Path]:
-    """Validate, read and fit the audit targets, ingest, aggregate the audited
-    cells only and audit; write audit.csv under the config's ``output_dir``
-    when audits are configured. Returns the audit records plus the output directory."""
-    base_dir = Path(base_dir)
-    prepared = _prepare(config, base_dir, {(a.series, a.vintage) for a in config.audits})
-    audit_records = _audit(config, *prepared)
-    out_path = base_dir / config.output_dir
-    if audit_records:
-        with _stage("write", str(out_path)):
-            out_path.mkdir(parents=True, exist_ok=True)
-            _write_audit_csv(audit_records, out_path / "audit.csv")
-    return audit_records, out_path
-
-
-def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]:
-    """Execute every stage and write the result bundle.
-
-    Returns the in-memory results plus the output directory. Output files:
-    results.json, tables/*.txt, audit.csv (when audits are configured) and
+def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False) -> tuple[dict, Path]:
+    """Execute the stages in order and write the result bundle: results.json,
+    tables/*.txt, audit.csv (when audits are configured) and
     figures/<series>_<transform>_<vintage>.csv.
+
+    With ``audit_only`` it runs ``audit``'s subset: it aggregates only the
+    audited cells (and reads no records without audits), fits no trend or
+    discontinuity cell, and writes only audit.csv. The output directory is
+    made right after validation, when anything will be written. Returns the
+    in-memory results plus the output directory.
     """
     base_dir = Path(base_dir)
-    cells = {(s.label, v.label) for s in config.series for v in config.vintages}
-    targets, records, categories, series_map = _prepare(config, base_dir, cells)
+    config.validate(base_dir)
     out_path = Path(out_dir) if out_dir is not None else base_dir / config.output_dir
+    if config.audits or not audit_only:
+        with _stage("write", str(out_path)):
+            out_path.mkdir(parents=True, exist_ok=True)
+
+    # a target the trend window cannot fit ends the run before the records are read
+    targets = {}
+    for audit in config.audits:
+        with _stage("audit", audit.label):
+            target = read_series_csv(base_dir / audit.target_file, SeriesMeta(transform=LEVELS, label=audit.label))
+            fit_trend_break(target, config.trend_spec(LEVELS))
+        targets[audit.label] = target
+
+    if audit_only:
+        cells = {(a.series, a.vintage) for a in config.audits}
+    else:
+        cells = {(s.label, v.label) for s in config.series for v in config.vintages}
+    categories = {s.label: config.resolve_category_set(s.category_set) for s in config.series}
+    records, series_map = None, {}
+    if cells:
+        with _stage("ingest", config.data_file):
+            records = parse_records(base_dir / config.data_file)
+    span = _aggregation_span(config)
+    for vintage in config.vintages:
+        labels = [s.label for s in config.series if (s.label, vintage.label) in cells]
+        if not labels:
+            continue
+        kept = records if vintage.cutoff is None else apply_vintage(records, VintagePolicy(vintage.cutoff))
+        for label in labels:
+            with _stage("aggregate", f"{label}/{vintage.label}"):
+                series_map[(label, vintage.label)] = aggregate_series(kept, categories[label], span, label=label)
+        del kept  # before the next vintage's copy is made, so that two are never held
+
     tb = config.trend_break
     horizon = tb.post_window - 1 if tb.horizon is None else tb.horizon
-
+    fitted = () if audit_only else config.series  # the series whose cells are fitted
     trend_records = []
     figure_jobs = []
-    for sdef in config.series:
+    for sdef in fitted:
         for vintage in config.vintages:
             base = series_map[(sdef.label, vintage.label)]
             for transform in config.transforms:
@@ -596,7 +585,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
 
     rdd_records = []
     if config.rdd is not None:
-        for sdef in config.series:
+        for sdef in fitted:
             base = series_map[(sdef.label, config.rdd.vintage)]
             used = log_transform(base) if config.rdd.transform == LOG else base
             for estimand in config.rdd.estimands:
@@ -620,26 +609,18 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None) -> tuple[dict, Path]
     }
 
     with _stage("write", str(out_path)):
-        _write_outputs(results, figure_jobs, out_path)
+        if not audit_only:
+            (out_path / "tables").mkdir(exist_ok=True)
+            (out_path / "figures").mkdir(exist_ok=True)
+            payload = json.dumps(_jsonify(results), sort_keys=True, indent=2) + "\n"
+            (out_path / "results.json").write_text(payload, encoding="utf-8")
+            for name, text in render_tables(results).items():
+                (out_path / "tables" / f"{name}.txt").write_text(text, encoding="utf-8")
+            for name, fit, path, used in figure_jobs:
+                export_figure_data(fit, path, used, out_path / "figures" / name)
+        if audit_records:
+            _write_audit_csv(audit_records, out_path / "audit.csv")
     return results, out_path
-
-
-def _write_outputs(results: dict, figure_jobs, out_path: Path) -> None:
-    out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "tables").mkdir(exist_ok=True)
-    (out_path / "figures").mkdir(exist_ok=True)
-
-    payload = json.dumps(_jsonify(results), sort_keys=True, indent=2) + "\n"
-    (out_path / "results.json").write_text(payload, encoding="utf-8")
-
-    for name, text in render_tables(results).items():
-        (out_path / "tables" / f"{name}.txt").write_text(text, encoding="utf-8")
-
-    if results["audit"]:
-        _write_audit_csv(results["audit"], out_path / "audit.csv")
-
-    for name, fit, path, used in figure_jobs:
-        export_figure_data(fit, path, used, out_path / "figures" / name)
 
 
 def _write_audit_csv(audit_records: list[dict], path: Path) -> None:

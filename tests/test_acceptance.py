@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from breaklens.pipeline import _prepare, load_config
+from breaklens import pipeline
 from breaklens.rdd_local_poly import RddSpec, rd_estimate, rd_estimate_xy
 from breaklens.replication_audit import coefficient_audit, search_vintage_date
 from breaklens.series import MonthlySeries, read_series_csv
@@ -310,12 +310,20 @@ def _vintage_series(records, category, cutoff):
     return aggregate_series(kept, category, REPLICATION_SPAN)
 
 
-def test_vintage_series_helper_matches_demo_run(fixtures_dir):
+def test_vintage_series_helper_matches_demo_run(fixtures_dir, tmp_path, monkeypatch):
     """The helper of criteria 9-12, which run only with the replication data,
     builds the series that the demo run aggregates for one set and vintage."""
-    config = load_config(fixtures_dir / "demo_config.json")
-    *_, series_map = _prepare(config, fixtures_dir, {("anova_food", "2020-10-01")})
-    want = series_map[("anova_food", "2020-10-01")]
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(aggregate_series(*args, **kwargs))
+        return built[-1]
+
+    # the demo audits anova_food at the 2020-10-01 vintage, the one cell the audit aggregates
+    monkeypatch.setattr(pipeline, "aggregate_series", capture)
+    config = pipeline.load_config(fixtures_dir / "demo_config.json")
+    pipeline.run_pipeline(config, fixtures_dir, out_dir=tmp_path, audit_only=True)
+    (want,) = built
     got = _vintage_series(parse_records(fixtures_dir / config.data_file), ANOVA_FOOD, OCT_2020)
     assert (got.start_month, got.end_month) == (want.start_month, want.end_month)
     assert got.values.tobytes() == want.values.tobytes()

@@ -673,6 +673,64 @@ class TestCli:
         assert main(["audit", "--config", str(tmp_path / "config.json")]) == 0
         assert capsys.readouterr().out == "no audits configured\n"
 
+    def test_audit_writes_the_audit_csv_of_the_run_bundle(self, demo_run, fixtures_dir_module, tmp_path, capsys):
+        argv = _audit_argv(fixtures_dir_module / "demo_extracted_food.csv", fixtures_dir_module, tmp_path)
+        assert main(argv) == 0
+        *_, out_path = demo_run
+        assert (tmp_path / "o" / "audit.csv").read_bytes() == (out_path / "audit.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, out, error",
+        [
+            ("run", "afile", "[Errno 17] File exists: 'afile'"),
+            ("run", "afile/sub", "[Errno 20] Not a directory: 'afile/sub'"),
+            ("audit", "afile", "[Errno 17] File exists: 'afile'"),
+        ],
+        ids=["run-file", "run-under-a-file", "audit-file"],
+    )
+    def test_an_output_directory_that_cannot_be_made_ends_the_run_before_any_input_is_read(
+        self, command, out, error, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        monkeypatch.setattr(pipeline, "read_series_csv", _refuse_ingest)
+        monkeypatch.chdir(tmp_path)  # the config's directory, ".", names the output directory
+        (tmp_path / "afile").touch()
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+        raw["output_dir"] = out  # audit writes under output_dir; run under --out
+        Path("config.json").write_text(json.dumps(raw), encoding="utf-8")
+        argv = [command, "--config", "config.json", *(["--out", out] if command == "run" else [])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: [write:{out}] {error}\n"
+
+    @pytest.mark.parametrize("command", ["run", "audit"])
+    def test_a_config_error_makes_no_output_directory(self, command, fixtures_dir_module, tmp_path, capsys):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["trend_break"]["pre_window"] = 2
+        raw["output_dir"] = str(tmp_path / "o")
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 1
+        assert capsys.readouterr().err.startswith("config error: trend_break.pre_window: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "out, error",
+        [("adir", "[Errno 21] Is a directory: 'adir'"), ("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'")],
+        ids=["directory", "missing-directory"],
+    )
+    def test_ingest_checks_its_output_path_before_the_parse(
+        self, out, error, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "parse_records", _refuse_ingest)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv = ["ingest", "--data", str(fixtures_dir_module / "demo_records.csv"), "--series", "medicines"]
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err == f"data error: {error}\n"
+        assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
+
     @pytest.mark.parametrize("vintage", [None, "2020-10-01T00:00:00Z"])
     def test_ingest_of_a_header_only_file_names_the_file(self, vintage, tmp_path, capsys):
         data = tmp_path / "records.csv"
