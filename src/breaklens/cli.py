@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 config validation or usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -109,6 +110,8 @@ def _cmd_ingest(args) -> int:
     out = Path(args.out)
     if out.is_dir() or not out.parent.is_dir():
         open(args.out, "rb").close()  # reading fails as writing would, and makes no file
+    if args.out.endswith((os.sep, os.altsep or os.sep)):  # writing refuses it, existing or not
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     records = parse_records(args.data)
     if len(records) == 0:
         raise DataError(f"{args.data}: no data rows")

@@ -495,7 +495,8 @@ def _audit(config: RunConfig, targets, records, categories, series_map) -> list[
             }
             if audit.search is not None:
                 cat = categories[audit.series]
-                search = search_vintage_date(records, target, audit.search.candidates(), cat, metric=audit.metric)
+                in_set = records.compress(cat.mask(records))  # in every period; the search sums no others
+                search = search_vintage_date(in_set, target, audit.search.candidates(), cat, metric=audit.metric)
                 record["vintage_search"] = {
                     "best": format_timestamp(search.best),
                     "metric": audit.metric,

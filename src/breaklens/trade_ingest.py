@@ -84,7 +84,7 @@ class CategorySet:
 
     def mask(self, records: np.recarray) -> np.ndarray:
         """Which records fall in this set's chapters."""
-        return np.isin(records.hs2, [int(c) for c in self.codes])
+        return np.isin(np.arange(256), [int(c) for c in self.codes])[records.hs2]  # a lookup by chapter number
 
 
 #: Restricted food basket: chapters 02-08 and 20-24 only, i.e. without the
@@ -180,14 +180,16 @@ def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
     empty = [np.array([], dtype) for _, _, dtype in RECORD_FIELDS]
     # a string field is as wide as its widest chunk, and one character wide with no chunks
     dtypes = [np.concatenate([c[:0] for c in parts]).dtype for parts in zip(empty, *chunks)]
-    records = np.recarray(sum(len(c[0]) for c in chunks), [*zip(names, dtypes), ("key", np.int64)])
+    # keyed on whole columns before the array exists: sorting its strided fields is twice as slow
+    key = _keys([np.concatenate(parts) for parts in islice(zip(empty, *chunks), 4)])
+    records = np.recarray(len(key), [*zip(names, dtypes), ("key", np.int64)])
+    records["key"] = key
     filled = 0
     while chunks:
         columns = chunks.pop(0)
         for name, column in zip(names, columns):
             records[name][filled : filled + len(column)] = column
         filled += len(columns[0])
-    records["key"] = _keys([records[name] for name in ("period", "reporter", "partner", "hs2")])
     return records
 
 
@@ -235,15 +237,18 @@ def _strings(buf: np.ndarray, span, kind: str) -> np.ndarray:
 
 
 def _fixed(buf: np.ndarray, span, form: str, dtype) -> np.ndarray:
-    """The fields of ``span``, each exactly ``form`` (where a lowercase
-    letter is an ASCII digit and any other character itself), as numpy
-    reads them into ``dtype`` without a final ``Z``, on which it warns."""
+    """The fields of ``span``, each exactly ``form`` (where a lowercase letter is an ASCII
+    digit and any other character itself), read into ``dtype``: an integer as its digits
+    spell it, a ``datetime64`` as numpy reads it without a final ``Z``, on which it warns."""
     start, stop = span
     _require((stop - start == len(form)).all())
     text = np.lib.stride_tricks.sliding_window_view(buf, len(form))[start]
     digit = np.array([c.islower() for c in form])
     _require((text[:, ~digit] == np.frombuffer(form.encode(), np.uint8)[~digit]).all())
-    _require((text[:, digit] - np.uint8(ord("0")) < 10).all())  # a byte below '0' wraps round
+    digits = text[:, digit] - np.uint8(ord("0"))
+    _require((digits < 10).all())  # a byte below '0' wraps round
+    if np.issubdtype(dtype, np.integer):
+        return (digits @ 10 ** np.arange(digits.shape[1])[::-1]).astype(dtype)
     width = len(form.removesuffix("Z"))
     return _astype(np.ascontiguousarray(text[:, :width]).view(f"S{width}").ravel(), dtype)
 
@@ -251,10 +256,11 @@ def _fixed(buf: np.ndarray, span, form: str, dtype) -> np.ndarray:
 def _astype(text: np.ndarray, dtype) -> np.ndarray:
     """Numpy strings ``text`` read as ``dtype``; :class:`_NotCanonical` where
     numpy cannot read one, such as ``1e`` or February 30."""
+    # datetime64 500 at a time: numpy casts more without the GIL, and then segfaults on a bad date
+    step = 500 if np.dtype(dtype).kind == "M" else len(text)
     try:
         with np.errstate(over="ignore"):  # a value past the float range reads as inf
-            # 500 at a time: numpy casts more without the GIL, and then segfaults on a bad date
-            return np.concatenate([text[i : i + 500].astype(dtype) for i in range(0, len(text), 500)])
+            return np.concatenate([text[i : i + step].astype(dtype) for i in range(0, len(text), step)])
     except ValueError:
         raise _NotCanonical from None
 
@@ -348,7 +354,7 @@ def parse_records(path) -> np.recarray:
 def apply_vintage(records: np.recarray, policy: VintagePolicy) -> np.recarray:
     """Restrict records to those already submitted at the policy cutoff."""
     cutoff = np.datetime64(policy.cutoff_instant.replace(tzinfo=None), "s")
-    return records[records.first_submitted_at <= cutoff]
+    return records.compress(records.first_submitted_at <= cutoff)  # a boolean index's rows, sooner
 
 
 def aggregate_series(
@@ -369,7 +375,7 @@ def aggregate_series(
     n_months = len(month_range(start, end))
     in_set = category_set.mask(records)
     duplicates = np.count_nonzero(in_set) - np.count_nonzero(np.bincount(records.key[in_set]))
-    offset = (records.period - np.datetime64(start, "M")).astype(np.int64)
+    offset = records.period.view(np.int64) - np.datetime64(start, "M").astype(np.int64)
     take = in_set & (offset >= 0) & (offset < n_months)
     weights = records.value_usd[take] / 1e6
     # float even when nothing is taken: bincount then returns integer zeros

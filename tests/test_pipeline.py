@@ -717,8 +717,15 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "out, error",
-        [("adir", "[Errno 21] Is a directory: 'adir'"), ("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'")],
-        ids=["directory", "missing-directory"],
+        [
+            ("adir", "[Errno 21] Is a directory: 'adir'"),
+            ("nodir/x.csv", "[Errno 2] No such file or directory: 'nodir/x.csv'"),
+            ("new.csv/", "[Errno 21] Is a directory: 'new.csv/'"),
+            ("adir/", "[Errno 21] Is a directory: 'adir/'"),
+            ("nodir/x.csv/", "[Errno 2] No such file or directory: 'nodir/x.csv/'"),
+        ],
+        ids=["directory", "missing-directory", "trailing-separator", "directory-trailing-separator",
+             "missing-directory-trailing-separator"],
     )
     def test_ingest_checks_its_output_path_before_the_parse(
         self, out, error, fixtures_dir_module, tmp_path, monkeypatch, capsys

@@ -1,11 +1,15 @@
 import math
-from datetime import date
+import warnings
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from breaklens.errors import DataError
 from breaklens.replication_audit import (
+    DISTANCE_METRICS,
     ONE_MINUS_CORRELATION,
     _distance,
     compare_series,
@@ -13,7 +17,7 @@ from breaklens.replication_audit import (
     search_vintage_date,
 )
 from breaklens.series import MonthlySeries, SeriesMeta
-from breaklens.trade_ingest import ANOVA_FOOD, aggregate_series
+from breaklens.trade_ingest import ANOVA_FOOD, CategorySet, aggregate_series, record_array
 from breaklens.trend_break import TrendBreakSpec
 from util import (
     CUTOFF,
@@ -197,6 +201,53 @@ class TestVintageSearch:
         target = aggregate_series(records, ANOVA_FOOD, (date(2017, 1, 1), date(2017, 12, 1)))
         with pytest.raises(ValueError):
             search_vintage_date(records, target, [ts(2020, 10, 1)], ANOVA_FOOD)
+
+
+class TestSearchOverTheSetsRows:
+    """The audit searches only the audited set's rows, every period kept: the
+    distances, the best vintage and the duplicate warnings are those of the
+    search over all records."""
+
+    CATEGORY = CategorySet("drawn", frozenset({"02", "04"}))
+    FIRST_MONTH = np.datetime64("2016-11")
+    # months 0-9 around a target over months 3-6; chapters in and out of the set
+    ROWS = st.tuples(
+        st.integers(0, 9).map(FIRST_MONTH.__add__),
+        st.sampled_from(["VEN", "COL"]),
+        st.sampled_from(["P1", "P2"]),
+        st.sampled_from(["02", "04", "10", "30"]),
+        st.floats(0, 1e10),
+        # submitted (and last updated) on one of a few hours, so cutoffs hit them
+        st.integers(0, 48).map(lambda h: np.datetime64("2018-01-01T00") + np.timedelta64(h, "h")),
+    )
+
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=200,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rows=st.lists(ROWS, min_size=10, max_size=80),
+        copies=st.lists(st.integers(0, 79), max_size=20),
+        target=st.lists(st.floats(0, 1e3), min_size=4, max_size=4),
+        cutoff_hours=st.lists(st.integers(-1, 49), min_size=2, max_size=5),
+        metric=st.sampled_from(DISTANCE_METRICS),
+    )
+    def test_same_search_as_over_all_records(self, rows, copies, target, cutoff_hours, metric):
+        # a copy of a drawn row is a duplicate key, in or out of the set and the span
+        records = record_array(row + row[-1:] for row in rows + [rows[i % len(rows)] for i in copies])
+        target = MonthlySeries((self.FIRST_MONTH + 3).item(), target)
+        cutoffs = [ts(2018, 1, 1) + timedelta(hours=h) for h in cutoff_hours]
+        searches = []
+        for searched in (records, records.compress(self.CATEGORY.mask(records))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = search_vintage_date(searched, target, cutoffs, self.CATEGORY, metric=metric)
+            candidates = [(when, distance.hex()) for when, distance in result.candidates]
+            searches.append((candidates, result.best, [str(w.message) for w in caught]))
+        assert searches[0] == searches[1]
 
 
 class TestCoefficientAudit:

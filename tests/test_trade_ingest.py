@@ -580,14 +580,15 @@ class TestParseMatchesRowWise:
         assert got[0] == "error"
         assert got == _outcome(reference_parse_records, path)
 
-    @pytest.mark.parametrize("field", RECORD_COLUMNS[-2:])
+    @pytest.mark.parametrize("field", [*RECORD_COLUMNS[-2:], "value_usd"])
     def test_bad_date_among_more_than_500_rows(self, tmp_path, field):
-        """A bad date among more than 500 canonical rows is the row-wise
-        parse's error. numpy's cast of that many bytes to datetime64 once
-        ended the process with a segmentation fault, so a child parses."""
+        """A bad date, or a bad number, among more than 500 canonical rows is
+        the row-wise parse's error. numpy's cast of that many bytes to
+        datetime64 once ended the process with a segmentation fault, so a
+        child parses; the number column is cast whole."""
         with open(FIXTURES / "demo_records.csv", newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
-        rows[600][header.index(field)] = "2013-02-29T00:00:00Z"
+        rows[600][header.index(field)] = "1e" if field == "value_usd" else "2013-02-29T00:00:00Z"
         path = tmp_path / "records.csv"
         path.write_text(_csv_text([header, *rows]), encoding="utf-8", newline="")
         code = "import sys\nfrom breaklens.trade_ingest import parse_records\n"
@@ -736,3 +737,32 @@ class TestParseMatchesRowWise:
         )
         got = self.parse_without_row_wise(path, monkeypatch)
         assert got.value_usd.tolist() == [1250000.5, 7.0]
+
+    def test_key_is_the_dense_rank_of_the_sorted_tuples(self, tmp_path, monkeypatch):
+        """``key`` numbers the (period, reporter, partner, hs2) tuples in their
+        sorted order across chunks that differ in ``partner`` width and in
+        parse path, duplicates and the first and last months included."""
+        with open(FIXTURES / "demo_records.csv", newline="", encoding="utf-8") as fh:
+            header, *base = csv.reader(fh)
+        # partner codes from copy 10 on (BRA10, ...) are one character wider, and start in the second chunk
+        rows = [[*r[:2], f"{r[2]}{j}", *r[3:]] for j in range(20) for r in base]
+        chunk = trade_ingest._CHUNK_ROWS
+        instants = ["0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z"]
+        edges = [[period, "VEN", "BRA0", "30", "1", *instants] for period in ("000101", "999912")]
+        rows[10:12] = edges  # a canonical chunk's first and last months
+        rows[chunk + 10 : chunk + 12] = edges  # and the row-wise chunk's, the same tuples
+        rows[chunk + 20][1] = " VEN"  # read as VEN, but only row by row
+        rows += [list(r) for r in rows[:50]]  # duplicates in the last chunk of tuples in the first
+        path = tmp_path / "records.csv"
+        path.write_text(_csv_text([header, *rows]), encoding="utf-8", newline="")
+        row_wise, parse_row = [], trade_ingest._parse_row
+        monkeypatch.setattr(trade_ingest, "_parse_row", lambda n, row: row_wise.append(n) or parse_row(n, row))
+        got = parse_records(path)
+        assert row_wise == list(range(chunk + 1, 2 * chunk + 1))
+        assert got.dtype["partner"] == np.dtype("U5")
+        tuples = list(zip(got.period.tolist(), got.reporter.tolist(), got.partner.tolist(), got.hs2.tolist()))
+        rank = {t: i for i, t in enumerate(sorted(set(tuples)))}
+        assert got.key.tolist() == [rank[t] for t in tuples]
+        assert {tuples[10][0], tuples[11][0]} == {date(1, 1, 1), date(9999, 12, 1)}
+        assert tuples[chunk + 10 : chunk + 12] == tuples[10:12]
+        assert got.key[-50:].tolist() == got.key[:50].tolist()
