@@ -107,10 +107,11 @@ def _cmd_ingest(args) -> int:
             policy = VintagePolicy(cutoff_instant=parse_timestamp(args.vintage))
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    out = Path(args.out)
-    if out.is_dir() or not out.parent.is_dir():
+    seps = os.sep + (os.altsep or "")
+    # the directory part as given: pathlib drops a final "." and would check the one above it
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out.rstrip(seps)) or os.curdir):
         open(args.out, "rb").close()  # reading fails as writing would, and makes no file
-    if args.out.endswith((os.sep, os.altsep or os.sep)):  # writing refuses it, existing or not
+    if args.out.endswith(tuple(seps)):  # writing refuses it, existing or not
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     records = parse_records(args.data)
     if len(records) == 0:

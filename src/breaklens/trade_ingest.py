@@ -174,23 +174,15 @@ def _columns(rows) -> list[np.ndarray]:
 
 
 def _assemble(chunks: list[list[np.ndarray]]) -> np.recarray:
-    """The record array of the column chunks, in order, with its ``key``. Takes
-    each chunk out of ``chunks`` as it is copied in, never holding all at once."""
-    names = [name for _, name, _ in RECORD_FIELDS]
-    empty = [np.array([], dtype) for _, _, dtype in RECORD_FIELDS]
-    # a string field is as wide as its widest chunk, and one character wide with no chunks
-    dtypes = [np.concatenate([c[:0] for c in parts]).dtype for parts in zip(empty, *chunks)]
-    # keyed on whole columns before the array exists: sorting its strided fields is twice as slow
-    key = _keys([np.concatenate(parts) for parts in islice(zip(empty, *chunks), 4)])
-    records = np.recarray(len(key), [*zip(names, dtypes), ("key", np.int64)])
-    records["key"] = key
-    filled = 0
-    while chunks:
-        columns = chunks.pop(0)
-        for name, column in zip(names, columns):
-            records[name][filled : filled + len(column)] = column
-        filled += len(columns[0])
-    return records
+    """The record array of the column chunks, in order, with its ``key``. Joins
+    one field at a time and drops its chunk columns, never holding a field twice."""
+    names, columns = [name for _, name, _ in RECORD_FIELDS], []
+    for i, (_, _, dtype) in enumerate(RECORD_FIELDS):
+        # a string field is as wide as its widest chunk, and one character wide with no chunks
+        columns.append(np.concatenate([np.array([], dtype), *(chunk[i] for chunk in chunks)]))
+        for chunk in chunks:
+            chunk[i] = None
+    return np.rec.fromarrays([*columns, _keys(columns)], names=[*names, "key"])
 
 
 def record_array(rows) -> np.recarray:

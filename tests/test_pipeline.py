@@ -723,9 +723,13 @@ class TestCli:
             ("new.csv/", "[Errno 21] Is a directory: 'new.csv/'"),
             ("adir/", "[Errno 21] Is a directory: 'adir/'"),
             ("nodir/x.csv/", "[Errno 2] No such file or directory: 'nodir/x.csv/'"),
+            ("new.csv/.", "[Errno 2] No such file or directory: 'new.csv/.'"),
+            ("afile/.", "[Errno 20] Not a directory: 'afile/.'"),
+            ("nodir/./", "[Errno 2] No such file or directory: 'nodir/./'"),
         ],
         ids=["directory", "missing-directory", "trailing-separator", "directory-trailing-separator",
-             "missing-directory-trailing-separator"],
+             "missing-directory-trailing-separator", "missing-directory-dot", "file-dot",
+             "missing-directory-dot-trailing-separator"],
     )
     def test_ingest_checks_its_output_path_before_the_parse(
         self, out, error, fixtures_dir_module, tmp_path, monkeypatch, capsys
@@ -733,10 +737,12 @@ class TestCli:
         monkeypatch.setattr(cli, "parse_records", _refuse_ingest)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").touch()
         argv = ["ingest", "--data", str(fixtures_dir_module / "demo_records.csv"), "--series", "medicines"]
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err == f"data error: {error}\n"
-        assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
+        assert sorted(os.listdir(tmp_path)) == ["adir", "afile"] and os.listdir(tmp_path / "adir") == []
+        assert (tmp_path / "afile").read_bytes() == b""
 
     @pytest.mark.parametrize("vintage", [None, "2020-10-01T00:00:00Z"])
     def test_ingest_of_a_header_only_file_names_the_file(self, vintage, tmp_path, capsys):

@@ -52,7 +52,20 @@ def write(tmp_path, body, name="records.csv"):
 
 class TestParseRecords:
     def test_empty_file_with_header(self, tmp_path):
-        assert len(parse_records(write(tmp_path, ""))) == 0
+        """A header-only file and no rows give the same dtype: every field of
+        RECORD_FIELDS, strings one character wide, and ``key`` as ``int64``."""
+        parsed, built = parse_records(write(tmp_path, "")), record_array([])
+        want = [
+            ("period", "datetime64[M]"), ("reporter", "U1"), ("partner", "U1"), ("hs2", "uint8"),
+            ("value_usd", "float64"), ("first_submitted_at", "datetime64[s]"),
+            ("last_updated_at", "datetime64[s]"), ("key", "int64"),
+        ]
+        for records in (parsed, built):
+            assert len(records) == 0
+            assert [(name, records.dtype[name]) for name in records.dtype.names] == [
+                (name, np.dtype(dtype)) for name, dtype in want
+            ]
+        assert parsed.dtype == built.dtype
 
     def test_three_row_fixture(self, tmp_path):
         path = write(
