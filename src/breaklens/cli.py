@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 config validation or usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import errno
 import os
 import sys
 from pathlib import Path
@@ -107,12 +106,7 @@ def _cmd_ingest(args) -> int:
             policy = VintagePolicy(cutoff_instant=parse_timestamp(args.vintage))
         except ValueError as e:
             raise ConfigError(str(e)) from e
-    seps = os.sep + (os.altsep or "")
-    # the directory part as given: pathlib drops a final "." and would check the one above it
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out.rstrip(seps)) or os.curdir):
-        open(args.out, "rb").close()  # reading fails as writing would, and makes no file
-    if args.out.endswith(tuple(seps)):  # writing refuses it, existing or not
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    open(args.out, "ab").close()  # fails as writing would, and leaves an existing file's bytes
     records = parse_records(args.data)
     if len(records) == 0:
         raise DataError(f"{args.data}: no data rows")

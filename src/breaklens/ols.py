@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import EstimationError
 
@@ -72,6 +71,8 @@ def fit_ols(
     se = np.sqrt(np.diag(cov))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_stats = coef / se
+    from scipy import special  # here, so that what fits nothing (ingest) loads no scipy
+
     p_values = 2.0 * special.stdtr(n - k, -np.abs(t_stats))
 
     tss = float(np.sum((y - y.mean()) ** 2))

@@ -526,9 +526,10 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
 
     With ``audit_only`` it runs ``audit``'s subset: it aggregates only the
     audited cells (and reads no records without audits), fits no trend or
-    discontinuity cell, and writes only audit.csv. The output directory is
-    made right after validation, when anything will be written. Returns the
-    in-memory results plus the output directory.
+    discontinuity cell, and writes only audit.csv. The output directory (with
+    ``tables/`` and ``figures/`` for ``run``) is made right after validation,
+    when anything will be written. Returns the in-memory results plus the
+    output directory.
     """
     base_dir = Path(base_dir)
     config.validate(base_dir)
@@ -536,6 +537,9 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
     if config.audits or not audit_only:
         with _stage("write", str(out_path)):
             out_path.mkdir(parents=True, exist_ok=True)
+            if not audit_only:
+                (out_path / "tables").mkdir(exist_ok=True)
+                (out_path / "figures").mkdir(exist_ok=True)
 
     # a target the trend window cannot fit ends the run before the records are read
     targets = {}
@@ -611,8 +615,6 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
 
     with _stage("write", str(out_path)):
         if not audit_only:
-            (out_path / "tables").mkdir(exist_ok=True)
-            (out_path / "figures").mkdir(exist_ok=True)
             payload = json.dumps(_jsonify(results), sort_keys=True, indent=2) + "\n"
             (out_path / "results.json").write_text(payload, encoding="utf-8")
             for name, text in render_tables(results).items():

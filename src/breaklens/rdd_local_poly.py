@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
-from scipy import special
 
 from .errors import EstimationError, SpecError, require_choice, require_integer, require_number
 from .months import month_diff, month_index
@@ -238,6 +237,8 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, label) -> _SideParts:
 
 
 def _p_value(estimate, se) -> float:
+    from scipy import special  # here, as in ols.fit_ols
+
     if se <= 0:
         return 0.0 if estimate != 0 else 1.0
     return float(2.0 * special.ndtr(-(abs(estimate) / se)))

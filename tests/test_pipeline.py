@@ -611,6 +611,25 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_ingest_loads_no_scipy(self, fixtures_dir_module, tmp_path):
+        # ingest fits nothing, so it needs none of scipy
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys, breaklens.cli\n"
+            "code = breaklens.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        argv = ["ingest", "--data", fixtures_dir_module / "demo_records.csv", "--series", "medicines", "--out", tmp_path / "s.csv"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
     def test_ingest_unknown_set_exit_one(self, fixtures_dir_module, tmp_path):
         code = main(
             [
@@ -704,6 +723,19 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"data error: [write:{out}] {error}\n"
 
+    @pytest.mark.parametrize("name", ["tables", "figures"])
+    def test_a_file_where_run_makes_a_subdirectory_ends_the_run_before_any_input_is_read(
+        self, name, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        monkeypatch.setattr(pipeline, "read_series_csv", _refuse_ingest)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / name).write_bytes(b"kept\n")
+        assert main(["run", "--config", str(fixtures_dir_module / "demo_config.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: [write:{out}] [Errno 17] File exists: '{out / name}'\n"
+        assert (out / name).read_bytes() == b"kept\n"
+
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_a_config_error_makes_no_output_directory(self, command, fixtures_dir_module, tmp_path, capsys):
         raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
@@ -743,6 +775,20 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: {error}\n"
         assert sorted(os.listdir(tmp_path)) == ["adir", "afile"] and os.listdir(tmp_path / "adir") == []
         assert (tmp_path / "afile").read_bytes() == b""
+
+    @pytest.mark.parametrize("existing", [b"kept\n", None], ids=["existing", "new"])
+    @pytest.mark.parametrize("records", [_HEADER + b"\n", BAD_RECORD_FILES["undecodable"][0]], ids=["header-only", "bad-row"])
+    def test_ingest_that_fails_after_the_check_leaves_its_output_as_it_was_or_empty(
+        self, existing, records, tmp_path, capsys
+    ):
+        data, out = tmp_path / "records.csv", tmp_path / "s.csv"
+        data.write_bytes(records)
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["ingest", "--data", str(data), "--series", "medicines", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        # opening --out for appending is the check: it makes a new file empty and changes no byte of an old one
+        assert out.read_bytes() == (existing or b"")
 
     @pytest.mark.parametrize("vintage", [None, "2020-10-01T00:00:00Z"])
     def test_ingest_of_a_header_only_file_names_the_file(self, vintage, tmp_path, capsys):
