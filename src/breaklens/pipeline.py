@@ -526,10 +526,9 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
 
     With ``audit_only`` it runs ``audit``'s subset: it aggregates only the
     audited cells (and reads no records without audits), fits no trend or
-    discontinuity cell, and writes only audit.csv. The output directory (with
-    ``tables/`` and ``figures/`` for ``run``) is made right after validation,
-    when anything will be written. Returns the in-memory results plus the
-    output directory.
+    discontinuity cell, and writes only audit.csv. The output directory, with
+    ``tables/`` and ``figures/`` for ``run``, is made right after validation
+    when anything will be written. Returns the results and that directory.
     """
     base_dir = Path(base_dir)
     config.validate(base_dir)
