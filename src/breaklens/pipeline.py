@@ -533,12 +533,19 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
     base_dir = Path(base_dir)
     config.validate(base_dir)
     out_path = Path(out_dir) if out_dir is not None else base_dir / config.output_dir
-    if config.audits or not audit_only:
+    fitted = () if audit_only else config.series  # the series whose cells are fitted
+    if config.audits or fitted:
         with _stage("write", str(out_path)):
             out_path.mkdir(parents=True, exist_ok=True)
-            if not audit_only:
+            names = ["audit.csv"] if config.audits else []
+            if fitted:
                 (out_path / "tables").mkdir(exist_ok=True)
                 (out_path / "figures").mkdir(exist_ok=True)
+                names += ["results.json", *(f"tables/{name}_table.txt" for name in ("trend", "rdd", "audit"))]
+                names += [f"figures/{_figure_file(f'{s.label}/{tr}/{v.label}')}"
+                          for s in fitted for v in config.vintages for tr in config.transforms]
+            for path in filter(Path.exists, (out_path / name for name in names)):
+                open(path, "r+b").close()  # a directory there fails before any input is read
 
     # a target the trend window cannot fit ends the run before the records are read
     targets = {}
@@ -548,10 +555,8 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
             fit_trend_break(target, config.trend_spec(LEVELS))
         targets[audit.label] = target
 
-    if audit_only:
-        cells = {(a.series, a.vintage) for a in config.audits}
-    else:
-        cells = {(s.label, v.label) for s in config.series for v in config.vintages}
+    cells = {(a.series, a.vintage) for a in config.audits}
+    cells |= {(s.label, v.label) for s in fitted for v in config.vintages}
     categories = {s.label: config.resolve_category_set(s.category_set) for s in config.series}
     records, series_map = None, {}
     if cells:
@@ -570,7 +575,6 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
 
     tb = config.trend_break
     horizon = tb.post_window - 1 if tb.horizon is None else tb.horizon
-    fitted = () if audit_only else config.series  # the series whose cells are fitted
     trend_records = []
     figure_jobs = []
     for sdef in fitted:
@@ -613,7 +617,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
     }
 
     with _stage("write", str(out_path)):
-        if not audit_only:
+        if fitted:
             payload = json.dumps(_jsonify(results), sort_keys=True, indent=2) + "\n"
             (out_path / "results.json").write_text(payload, encoding="utf-8")
             for name, text in render_tables(results).items():

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 
 import numpy as np
@@ -213,9 +213,11 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, label) -> _SideParts:
     curv = pilot.beta[p + 1]
     bias = phi * curv
 
+    # every positively weighted main point is inside the pilot window
+    # (b >= h, as pilot_factor >= 1); each fit's idx is sorted
     if variance == NEAREST_NEIGHBOR:
-        sigma2_main = _nn_sigma2(u, y, main.idx)
         sigma2_pilot = _nn_sigma2(u, y, pilot.idx)
+        sigma2_main = sigma2_pilot[np.searchsorted(pilot.idx, main.idx)]
     else:
         dfm = max(main.n_effective - (p + 1), 1)
         dfb = max(pilot.n_effective - (p + 2), 1)
@@ -228,8 +230,6 @@ def _side_parts(u, y, nu, p, kernel, h, b, variance, label) -> _SideParts:
     # each fit's idx comes from flatnonzero, so its entries are distinct
     l_comb[main.idx] += fac * main.proj[nu]
     l_comb[pilot.idx] += -phi * pilot.proj[p + 1]
-    # every positively weighted main point is inside the pilot window
-    # (b >= h, as pilot_factor >= 1)
     sigma2_full = np.zeros(len(u))
     sigma2_full[pilot.idx] = sigma2_pilot
     var_rob = float(np.sum(l_comb**2 * sigma2_full))
@@ -399,11 +399,12 @@ def rd_estimate(series: MonthlySeries, spec: RddSpec) -> RddFit:
 
 def require_monthly_support(spec: RddSpec) -> None:
     """Fit ``spec`` on every month of its ``bandwidth_sample`` with placeholder
-    values. Each check a fit can fail reads only the months (the MSE-optimal
-    width reads the values, but keeps p + 2 points a side), so the
-    EstimationError this raises is the one a fit on those months would raise."""
+    values and the linear-time variance, as no variance choice fails a fit.
+    Each check a fit can fail reads only the months (the MSE-optimal width
+    reads the values, but keeps p + 2 points a side), so the EstimationError
+    this raises is the one a fit on those months would raise."""
     start, end = (month_diff(month, spec.cutoff_month) for month in spec.bandwidth_sample)
     t = np.arange(start, end + 1, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero values take the rule-of-thumb width
-        rd_estimate_xy(t, np.zeros_like(t), spec)
+        rd_estimate_xy(t, np.zeros_like(t), replace(spec, variance=WLS_RESIDUALS))

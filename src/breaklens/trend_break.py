@@ -37,7 +37,8 @@ class TrendBreakSpec:
     The cutoff month itself belongs to the post segment (D = 1 at t = 0)
     unless ``treat_cutoff_as_post`` is flipped. Windows are in months:
     ``pre_window`` months before the cutoff and ``post_window`` months from
-    the cutoff on, i.e. t in [-pre_window, post_window - 1].
+    the cutoff on, i.e. t in [-pre_window, post_window - 1]. ``transform``
+    declares the form of the series the fit is given; it transforms nothing.
     """
 
     cutoff_month: date
@@ -129,6 +130,8 @@ def log_transform(series: MonthlySeries) -> MonthlySeries:
 
 def _window_rows(series: MonthlySeries, spec: TrendBreakSpec) -> tuple[np.ndarray, np.ndarray]:
     """Months from the cutoff and values of the present months in the fit window."""
+    if series.meta.transform != spec.transform:
+        raise ValueError(f"cannot fit a {spec.transform} specification on a {series.meta.transform} series")
     if not series.covers(spec.window_start, spec.window_end):
         raise EstimationError(
             f"series spans {format_month(series.start_month)}.."
@@ -138,22 +141,14 @@ def _window_rows(series: MonthlySeries, spec: TrendBreakSpec) -> tuple[np.ndarra
     return series.window(spec.window_start, spec.window_end).to_arrays(spec.cutoff_month)
 
 
-def _resolve_transform(series: MonthlySeries, spec: TrendBreakSpec) -> MonthlySeries:
-    if spec.transform == LOG and series.meta.transform == LEVELS:
-        return log_transform(series)
-    if spec.transform == LEVELS and series.meta.transform == LOG:
-        raise ValueError("cannot fit a levels specification on a log series")
-    return series
-
-
 def fit_trend_break(series: MonthlySeries, spec: TrendBreakSpec) -> TrendBreakFit:
     """Estimate the four-parameter interrupted-trend model by OLS.
 
     Missing months are dropped row-wise; the trend regressor keeps calendar
     spacing. Standard errors are classical homoskedastic OLS by default
     (``spec.se_type='newey_west'`` switches to Bartlett-window HAC errors).
+    A series not in the form ``spec.transform`` names is a ValueError.
     """
-    series = _resolve_transform(series, spec)
     t, y = _window_rows(series, spec)
     d = spec.indicator(t).astype(float)
     n_post = int(np.count_nonzero(d))
@@ -197,7 +192,6 @@ def segment_trend(
     """Simple OLS line fitted on one side of the cutoff only."""
     if side not in (PRE, POST):
         raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
-    series = _resolve_transform(series, spec)
     t, y = _window_rows(series, spec)
     picked = spec.indicator(t) == (side == POST)
     t, y = t[picked], y[picked]

@@ -352,6 +352,8 @@ def test_criterion_9_trend_table_reproduction(replication_records):
     for (cat, transform, vintage), expected in TABLE3_CELLS.items():
         cutoff = OCT_2020 if vintage == "oct2020" else None
         series = _vintage_series(replication_records, CATEGORIES[cat], cutoff)
+        if transform == "log":
+            series = log_transform(series)
         fit = fit_trend_break(series, TrendBreakSpec(cutoff_month=CUTOFF, transform=transform))
         level, level_se, slope, slope_se = expected
         assert fit.alpha1 == pytest.approx(level, abs=0.01), (cat, transform, vintage)
@@ -446,7 +448,7 @@ def test_criterion_12_counterfactual_diagnostics(replication_records):
     med_path = counterfactual_projection(med_fit, horizon)
     assert med_path.values[-1] == pytest.approx(-167.0, abs=10.0)
 
-    med_log_fit = fit_trend_break(med, TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
+    med_log_fit = fit_trend_break(log_transform(med), TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
     med_log_path = counterfactual_projection(med_log_fit, horizon)
     assert math.exp(med_log_path.values[-1]) == pytest.approx(1.5, abs=0.3)
     print("\ncriterion 12 (counterfactual diagnostics): PASS")

@@ -409,6 +409,15 @@ def test_validation_accepts_exactly_the_rdd_settings_that_fit(rdd):
     assert accepted == fits
 
 
+def test_validation_of_the_widest_sample_is_linear_under_nearest_neighbor():
+    """Every month the ``MONTH`` kind accepts (119,988 of them): a
+    nearest-neighbor variance on them is quadratic, a check needs none."""
+    raw = copy.deepcopy(DEMO)
+    raw["rdd"].update(bandwidth_sample=["0001-01", "9999-12"], variance="nearest_neighbor")
+    with time_limit(3.0):
+        RunConfig.from_dict(raw).validate(FIXTURES)
+
+
 def leaf_paths(value, path="") -> list[str]:
     """JSON paths of the scalars and empty containers in a config."""
     if isinstance(value, dict) and value:

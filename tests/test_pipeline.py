@@ -736,6 +736,45 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: [write:{out}] [Errno 17] File exists: '{out / name}'\n"
         assert (out / name).read_bytes() == b"kept\n"
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("run", "results.json"),
+            ("run", "audit.csv"),
+            ("run", "tables/rdd_table.txt"),
+            ("run", "figures/medicines_log_latest.csv"),
+            ("audit", "audit.csv"),
+        ],
+    )
+    def test_a_directory_where_a_bundle_file_goes_ends_the_run_before_any_input_is_read(
+        self, command, name, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        monkeypatch.setattr(pipeline, "read_series_csv", _refuse_ingest)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["audits"][0]["target_file"] = str(fixtures_dir_module / raw["audits"][0]["target_file"])
+        raw["output_dir"] = str(out)
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+        assert capsys.readouterr().err == f"data error: [write:{out}] [Errno 21] Is a directory: '{out / name}'\n"
+
+    def test_the_bundle_check_leaves_existing_files_as_they_are_and_makes_none(
+        self, fixtures_dir_module, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "parse_records", _refuse_ingest)
+        monkeypatch.setattr(pipeline, "read_series_csv", _refuse_ingest)
+        out = tmp_path / "o"
+        (out / "figures" / "anova_food_levels_latest.csv").mkdir(parents=True)
+        (out / "results.json").write_bytes(b"kept\n")
+        assert main(["run", "--config", str(fixtures_dir_module / "demo_config.json"), "--out", str(out)]) == 2
+        assert "[Errno 21] Is a directory" in capsys.readouterr().err
+        assert (out / "results.json").read_bytes() == b"kept\n"
+        made = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+        assert made == ["figures", "figures/anova_food_levels_latest.csv", "results.json", "tables"]
+
     @pytest.mark.parametrize("command", ["run", "audit"])
     def test_a_config_error_makes_no_output_directory(self, command, fixtures_dir_module, tmp_path, capsys):
         raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())

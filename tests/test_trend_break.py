@@ -213,13 +213,15 @@ class TestInvariants:
         np.testing.assert_allclose(f2.se, tuple(3.0 * e for e in f1.se), rtol=1e-10)
         np.testing.assert_allclose(f2.t_stats, f1.t_stats, rtol=1e-9)
 
-    def test_transform_then_fit_commutes(self):
-        rng = np.random.default_rng(7)
-        s = random_series(rng)
-        log_spec = TrendBreakSpec(cutoff_month=CUTOFF, transform="log")
-        via_spec = fit_trend_break(s, log_spec)
-        via_transform = fit_trend_break(log_transform(s), log_spec)
-        np.testing.assert_allclose(via_spec.coefficients, via_transform.coefficients, atol=1e-12)
+    @pytest.mark.parametrize("fit", [fit_trend_break, lambda s, spec: segment_trend(s, spec, "pre")])
+    @pytest.mark.parametrize("spec_form, series_form", [("log", "levels"), ("levels", "log")])
+    def test_form_mismatch_raises(self, fit, spec_form, series_form):
+        s = series_from_fn(piecewise(10, -0.1, 12, 0.05))
+        if series_form == "log":
+            s = log_transform(s)
+        spec = TrendBreakSpec(cutoff_month=CUTOFF, transform=spec_form)
+        with pytest.raises(ValueError, match=f"cannot fit a {spec_form} specification on a {series_form} series"):
+            fit(s, spec)
 
 
 class TestLogTransform:
@@ -276,7 +278,7 @@ class TestCounterfactual:
 
     def test_log_path_rejects_feasibility(self):
         s = series_from_fn(lambda t: 30.0 * math.exp(-0.02 * t))
-        fit = fit_trend_break(s, TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
+        fit = fit_trend_break(log_transform(s), TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
         path = counterfactual_projection(fit, 28)
         with pytest.raises(ValueError, match="levels only"):
             feasibility_check(path)
