@@ -27,7 +27,7 @@ from datetime import date
 import numpy as np
 
 from .errors import EstimationError, SpecError, require_choice, require_integer, require_number
-from .months import month_diff, month_index
+from .months import month_diff
 from .series import MonthlySeries
 
 TRIANGULAR = "triangular"
@@ -348,11 +348,14 @@ def select_bandwidth_xy(t, y, *, nu, p, kernel=TRIANGULAR) -> float:
 
 
 def _series_points(series: MonthlySeries, spec: RddSpec):
-    start = max(spec.bandwidth_sample[0], series.start_month, key=month_index)
-    end = min(spec.bandwidth_sample[1], series.end_month, key=month_index)
-    if month_diff(end, start) < 0:
+    """Present months of the bandwidth sample, which must meet the series' span."""
+    start, end = (month_diff(month, spec.cutoff_month) for month in spec.bandwidth_sample)
+    first = month_diff(series.start_month, spec.cutoff_month)
+    if end < first or start >= first + len(series):
         raise EstimationError("bandwidth sample does not intersect the series")
-    return series.window(start, end).to_arrays(spec.cutoff_month)
+    t, y = series.to_arrays(spec.cutoff_month)
+    inside = (t >= start) & (t <= end)
+    return t[inside], y[inside]
 
 
 def rd_estimate_xy(t, y, spec: RddSpec) -> RddFit:

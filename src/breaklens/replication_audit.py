@@ -71,16 +71,17 @@ def _means(values: np.ndarray, is_post: np.ndarray) -> SegmentMeans:
 
 
 def compare_series(
-    a: MonthlySeries, b: MonthlySeries, cutoff_month: date
+    a: MonthlySeries, b: MonthlySeries, spec: TrendBreakSpec
 ) -> SeriesComparison:
     """Correlation, per-argument means and max deviation over the overlap.
 
     Statistics use months where both series are non-missing; the pre/post
-    split puts the cutoff month in the post segment. Correlation and maximum
-    absolute difference are symmetric in the arguments.
+    split is the trend fit's, ``spec.indicator`` of the months from
+    ``spec.cutoff_month``. Correlation and maximum absolute difference are
+    symmetric in the arguments.
     """
-    t, xa, xb, correlation = _paired(a, b, cutoff_month)
-    is_post = t >= 0
+    t, xa, xb, correlation = _paired(a, b, spec.cutoff_month)
+    is_post = spec.indicator(t)
     return SeriesComparison(
         correlation=correlation,
         max_abs_diff=float(np.max(np.abs(xa - xb))),
@@ -147,5 +148,5 @@ def coefficient_audit(
     return CoefficientAudit(
         fit_a=fit_trend_break(a, spec),
         fit_b=fit_trend_break(b, spec),
-        comparison=compare_series(a, b, spec.cutoff_month),
+        comparison=compare_series(a, b, spec),
     )

@@ -4,15 +4,15 @@ A ``MonthlySeries`` stores one value per consecutive calendar month in a
 read-only float64 array; a missing observation is NaN, never a skipped
 month. Values are USD millions per month in levels, or natural-log points
 after the log transform. The estimators and the audit never test for NaN:
-they take a span with :meth:`MonthlySeries.window` and the present months
-with :meth:`MonthlySeries.to_arrays`.
+they take the present months with :meth:`MonthlySeries.to_arrays` and keep
+the months their spec reads by offset.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterator
 
@@ -80,24 +80,11 @@ class MonthlySeries:
         for i in range(len(self.values)):
             yield self.month_at(i)
 
-    def index_of(self, month: date) -> int:
-        i = month_diff(month, self.start_month)
-        if not 0 <= i < len(self.values):
-            raise KeyError(f"{format_month(month)} outside series span")
-        return i
-
     def covers(self, start: date, end: date) -> bool:
         return (
             month_diff(start, self.start_month) >= 0
             and month_diff(end, self.end_month) <= 0
         )
-
-    def window(self, start: date, end: date) -> "MonthlySeries":
-        """Slice to [start, end] inclusive; both must lie inside the span."""
-        i, j = self.index_of(start), self.index_of(end)
-        if j < i:
-            raise DataError(f"empty window {format_month(start)}..{format_month(end)}")
-        return replace(self, start_month=start, values=self.values[i : j + 1])
 
     def to_arrays(self, origin: date) -> tuple[np.ndarray, np.ndarray]:
         """Months relative to ``origin`` and values, missing entries dropped."""

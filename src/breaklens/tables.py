@@ -24,12 +24,18 @@ def format_cell(coef: float, se: float, p: float) -> str:
     return f"{coef:.2f}{significance_stars(p)} ({se:.2f})"
 
 
-def _layout(rows: list[tuple[str, list[str]]], header: list[str], label_width: int = 22, col_width: int = 20) -> list[str]:
-    lines = []
-    head = " " * label_width + "".join(f"{h:>{col_width}}" for h in header)
-    lines.append(head)
+LABEL_WIDTH = 22
+COL_WIDTH = 20
+
+
+def _rule(char: str, header) -> str:
+    return char * (LABEL_WIDTH + COL_WIDTH * len(header))
+
+
+def _layout(rows: list[tuple[str, list[str]]], header: list[str]) -> list[str]:
+    lines = [" " * LABEL_WIDTH + "".join(f"{h:>{COL_WIDTH}}" for h in header)]
     for label, cells in rows:
-        lines.append(f"{label:<{label_width}}" + "".join(f"{c:>{col_width}}" for c in cells))
+        lines.append(f"{label:<{LABEL_WIDTH}}" + "".join(f"{c:>{COL_WIDTH}}" for c in cells))
     return lines
 
 
@@ -47,13 +53,13 @@ def render_trend_table(
     level and slope discontinuity coefficients formatted 'X.XX*** (S.SS)'.
     Every (series, transform, vintage) a panel names must have a record."""
     by_key = {(r["series"], r["transform"], r["vintage"]): r for r in records}
-    lines = ["Trend interruption estimates", "=" * (22 + 20 * len(series_order))]
+    lines = ["Trend interruption estimates", _rule("=", series_order)]
     for transform, vintage in panels:
         lines.append(f"Panel: {transform}, vintage {vintage}")
         cells = [by_key[(s, transform, vintage)] for s in series_order]
         rows = [(label, [_trend_cell(r, which) for r in cells]) for which, label in JUMPS]
         lines.extend(_layout(rows, series_order))
-        lines.append("-" * (22 + 20 * len(series_order)))
+        lines.append(_rule("-", series_order))
     return "\n".join(lines) + "\n"
 
 
@@ -64,7 +70,7 @@ def render_rdd_table(records: list[dict], series_order: list[str]) -> str:
     transforms = ", ".join(sorted({r["transform"] for r in records}))
     vintages = ", ".join(sorted({r["vintage"] for r in records}))
     title = f"Regression discontinuity estimates ({transforms}; vintage {vintages})"
-    lines = [title, "=" * (22 + 20 * len(series_order))]
+    lines = [title, _rule("=", series_order)]
     rows = []
     for estimand, label in JUMPS:
         if any(r["estimand"] == estimand for r in records):
@@ -106,7 +112,7 @@ def _audit_cell(side, fmt: str) -> str:
 
 def render_audit_table(records: list[dict]) -> str:
     """Extracted-versus-reconstructed comparison, one block per audit target."""
-    lines = ["Series audit: extracted vs reconstructed", "=" * 62]
+    lines = ["Series audit: extracted vs reconstructed", _rule("=", AUDIT_SIDES)]
     for record in records:
         lines.append(
             f"{record['label']} (series {record['series']}, vintage {record['vintage']})"
@@ -121,7 +127,7 @@ def render_audit_table(records: list[dict]) -> str:
                 f"Best vintage cutoff: {record['vintage_search']['best']} "
                 f"({record['vintage_search']['metric']})"
             )
-        lines.append("-" * 62)
+        lines.append(_rule("-", AUDIT_SIDES))
     return "\n".join(lines) + "\n"
 
 

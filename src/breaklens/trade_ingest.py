@@ -359,16 +359,15 @@ def aggregate_series(
     """Sum matching records into a monthly series in USD millions.
 
     Months without any matching record aggregate to 0.0: that is the value a
-    missing partner submission implicitly contributes. Duplicate keys
-    (period/reporter/partner/hs2) are summed with a warning, since bulk files
-    may split consignments across rows. Values are added in row order.
+    missing partner submission implicitly contributes. Rows in the span that
+    share a key (period/reporter/partner/hs2) add up with a warning, since bulk
+    files may split consignments across rows. Values are added in row order.
     """
     start, end = months
     n_months = len(month_range(start, end))
-    in_set = category_set.mask(records)
-    duplicates = np.count_nonzero(in_set) - np.count_nonzero(np.bincount(records.key[in_set]))
     offset = records.period.view(np.int64) - np.datetime64(start, "M").astype(np.int64)
-    take = in_set & (offset >= 0) & (offset < n_months)
+    take = category_set.mask(records) & (offset >= 0) & (offset < n_months)
+    duplicates = np.count_nonzero(take) - np.count_nonzero(np.bincount(records.key[take]))
     weights = records.value_usd[take] / 1e6
     # float even when nothing is taken: bincount then returns integer zeros
     totals = np.bincount(offset[take], weights, n_months).astype(np.float64, copy=False)

@@ -138,7 +138,9 @@ def _window_rows(series: MonthlySeries, spec: TrendBreakSpec) -> tuple[np.ndarra
             f"{format_month(series.end_month)} but the fit window is "
             f"{format_month(spec.window_start)}..{format_month(spec.window_end)}"
         )
-    return series.window(spec.window_start, spec.window_end).to_arrays(spec.cutoff_month)
+    t, y = series.to_arrays(spec.cutoff_month)
+    inside = (t >= -spec.pre_window) & (t < spec.post_window)
+    return t[inside], y[inside]
 
 
 def fit_trend_break(series: MonthlySeries, spec: TrendBreakSpec) -> TrendBreakFit:

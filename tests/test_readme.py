@@ -1,7 +1,8 @@
 """The README's "Library use" block runs as written, so the documented
 public surface names only functions that exist; its CLI synopsis lists the
-flags the parser takes, and its tables list the record fields and the config
-keys the code has."""
+flags the parser takes, its tables list the record fields and the config
+keys the code has, and its series accessors are ``MonthlySeries``' public
+members."""
 
 import argparse
 import json
@@ -15,6 +16,7 @@ import numpy as np
 
 from breaklens import pipeline
 from breaklens.cli import build_parser
+from breaklens.series import MonthlySeries
 from breaklens.trade_ingest import RECORD_FIELDS
 from conftest import REPO_ROOT
 
@@ -58,6 +60,15 @@ def test_records_table_lists_each_field_with_its_dtype():
         documented += [(name, re.search("`([^`]+)`", dtype)[1]) for name in re.findall("`([^`]+)`", names)]
     stored = [(name, "<U" if dtype is str else np.dtype(dtype).name) for _, name, dtype in RECORD_FIELDS]
     assert documented == [*stored, ("key", "int64")]
+
+
+def test_series_accessors_are_the_public_members():
+    sentence = README.split("**Series in memory**", 1)[1].split("Accessors: ", 1)[1].split(". ", 1)[0]
+    # `len(series)` stands for __len__; a parenthesis after a name describes it
+    documented = re.findall(r"`(\w+)[^`]*`", re.sub(r"\s\([^()]*\)", "", sentence))
+    public = [name for name in vars(MonthlySeries) if not name.startswith("_")]
+    assert "__len__" in vars(MonthlySeries)
+    assert sorted(documented) == sorted(["len", *public])
 
 
 def schema_keys(cls, prefix=""):

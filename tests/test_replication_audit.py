@@ -44,7 +44,7 @@ def noisy_series(seed=0, transform="levels"):
 class TestCompareSeries:
     def test_identity(self):
         s = noisy_series()
-        cmp = compare_series(s, s, CUTOFF)
+        cmp = compare_series(s, s, SPEC)
         assert cmp.correlation == pytest.approx(1.0)
         assert cmp.max_abs_diff == 0.0
         assert cmp.n_overlap == 57
@@ -55,12 +55,12 @@ class TestCompareSeries:
         flipped = MonthlySeries(
             s.start_month, tuple(-v for v in s.values), s.meta
         )
-        cmp = compare_series(s, flipped, CUTOFF)
+        cmp = compare_series(s, flipped, SPEC)
         assert cmp.correlation == pytest.approx(-1.0)
 
     def test_symmetry(self):
         a, b = noisy_series(1), noisy_series(2)
-        ab, ba = compare_series(a, b, CUTOFF), compare_series(b, a, CUTOFF)
+        ab, ba = compare_series(a, b, SPEC), compare_series(b, a, SPEC)
         assert ab.correlation == pytest.approx(ba.correlation, abs=1e-12)
         assert ab.max_abs_diff == ba.max_abs_diff
         assert ab.means_a == ba.means_b and ab.means_b == ba.means_a
@@ -68,13 +68,13 @@ class TestCompareSeries:
     def test_correlation_invariant_to_positive_affine(self):
         a, b = noisy_series(3), noisy_series(4)
         scaled = MonthlySeries(b.start_month, tuple(2.5 * v + 7 for v in b.values), b.meta)
-        c0 = compare_series(a, b, CUTOFF).correlation
-        c1 = compare_series(a, scaled, CUTOFF).correlation
+        c0 = compare_series(a, b, SPEC).correlation
+        c1 = compare_series(a, scaled, SPEC).correlation
         assert c1 == pytest.approx(c0, abs=1e-12)
 
     def test_pre_post_split_cutoff_in_post(self):
         s = series_from_fn(piecewise(10, 0.0, 20, 0.0))
-        cmp = compare_series(s, s, CUTOFF)
+        cmp = compare_series(s, s, SPEC)
         assert cmp.means_a.pre == pytest.approx(10.0)
         assert cmp.means_a.post == pytest.approx(20.0)
         assert cmp.means_a.overall == pytest.approx((28 * 10 + 29 * 20) / 57)
@@ -85,7 +85,7 @@ class TestCompareSeries:
         values[0] = None
         values[30] = None
         b = MonthlySeries(a.start_month, tuple(values), a.meta)
-        cmp = compare_series(a, b, CUTOFF)
+        cmp = compare_series(a, b, SPEC)
         assert cmp.n_overlap == 55
 
     def test_insufficient_overlap_errors(self):
@@ -93,7 +93,7 @@ class TestCompareSeries:
         b = MonthlySeries(date(2015, 3, 1), (3.0, 4.0, 5.0, 6.0))
         message = "^insufficient overlap: 2 common non-missing months, need >= 3$"
         with pytest.raises(DataError, match=message):
-            compare_series(a, b, CUTOFF)
+            compare_series(a, b, SPEC)
         with pytest.raises(DataError, match=message):  # the vintage search pairs them alike
             _distance(a, b, ONE_MINUS_CORRELATION)
 
@@ -105,7 +105,7 @@ class TestCompareSeries:
     def test_constant_side(self, other, correlation, distance):
         a = MonthlySeries(date(2015, 1, 1), (2.0, 2.0, 2.0, 2.0))
         b = MonthlySeries(date(2015, 1, 1), other)
-        got = compare_series(a, b, CUTOFF).correlation
+        got = compare_series(a, b, SPEC).correlation
         assert got == correlation or math.isnan(got) and math.isnan(correlation)
         assert _distance(a, b, ONE_MINUS_CORRELATION) == distance
 
@@ -268,3 +268,14 @@ class TestCoefficientAudit:
         assert audit.fit_b.alpha3 == pytest.approx(audit.fit_a.alpha3, abs=1e-8)
         means_a, means_b = audit.comparison.means_a, audit.comparison.means_b
         assert means_b.overall == pytest.approx(means_a.overall + 25.0)
+
+    def test_means_split_the_window_as_the_fits_do(self):
+        # the series is the fit window; with the cutoff month in the pre
+        # segment, the fits and the means both read 29 pre and 28 post months
+        a, b = noisy_series(9), noisy_series(10)
+        spec = TrendBreakSpec(cutoff_month=CUTOFF, treat_cutoff_as_post=False)
+        audit = coefficient_audit(a, b, spec)
+        assert (audit.fit_a.n_pre, audit.fit_a.n_post) == (29, 28)
+        for series, means in ((a, audit.comparison.means_a), (b, audit.comparison.means_b)):
+            assert means.pre == float(np.mean(series.values[:29]))
+            assert means.post == float(np.mean(series.values[29:]))

@@ -18,12 +18,14 @@ from breaklens.months import (
     parse_period,
     parse_timestamp,
 )
+from breaklens.rdd_local_poly import RddSpec, _series_points
 from breaklens.replication_audit import _overlap
 from breaklens.series import MonthlySeries, SeriesMeta, read_series_csv, write_series_csv
 from breaklens.trend_break import TrendBreakSpec, _window_rows, log_transform
 from util import (
     reference_log_transform,
     reference_overlap,
+    reference_series_points,
     reference_to_arrays,
     reference_window_rows,
 )
@@ -106,12 +108,6 @@ class TestMonthlySeries:
     def test_log_series_may_be_negative(self):
         s = MonthlySeries(date(2019, 1, 1), (-1.0, 0.5), SeriesMeta(transform="log"))
         assert s.values[0] == -1.0
-
-    def test_window_slicing(self):
-        s = MonthlySeries(date(2019, 1, 1), tuple(float(k) for k in range(12)))
-        w = s.window(date(2019, 3, 1), date(2019, 5, 1))
-        assert w.values.tolist() == [2.0, 3.0, 4.0]
-        assert w.start_month == date(2019, 3, 1)
 
     def test_to_arrays_drops_missing(self):
         s = MonthlySeries(date(2019, 1, 1), (1.0, None, 3.0))
@@ -200,6 +196,24 @@ class TestArrayFormMatchesReference:
             return
         t, y = _window_rows(series, spec)
         want_t, want_y = reference_window_rows(series, spec)
+        assert hexes(t) == hexes(want_t)
+        assert hexes(y) == hexes(want_y)
+
+    @SETTINGS
+    @given(series=monthly_series(), data=st.data(), cutoff=MONTHS)
+    def test_series_points(self, series, data, cutoff):
+        # the bandwidth sample ends before, meets, covers or starts after the span
+        start = data.draw(st.integers(-12, len(series) + 3))
+        end = data.draw(st.integers(start, start + len(series) + 12))
+        sample = (series.month_at(start), series.month_at(end))
+        spec = RddSpec(cutoff, bandwidth_sample=sample)
+        if end < 0 or start >= len(series):
+            with pytest.raises(EstimationError, match="^bandwidth sample does not intersect the series$"):
+                _series_points(series, spec)
+            return
+        t, y = _series_points(series, spec)
+        want_t, want_y = reference_series_points(series, spec)
+        assert (t.dtype, y.dtype) == (np.float64, np.float64)
         assert hexes(t) == hexes(want_t)
         assert hexes(y) == hexes(want_y)
 

@@ -255,6 +255,19 @@ class TestAggregate:
             s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
         assert s.values[0] == pytest.approx(3.0)
 
+    def test_duplicates_count_only_in_the_span(self):
+        outside = [record(period=date(2010, 1, 1), value_usd=v) for v in (1e6, 2e6)]
+        records = records_of(*outside)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
+        assert s.values.tolist() == [0.0, 0.0, 0.0]
+        records = records_of(*outside, record(value_usd=3e6), record(value_usd=4e6))
+        message = "^1 duplicate period/reporter/partner/hs2 rows summed while aggregating 'anova_food'$"
+        with pytest.warns(UserWarning, match=message):
+            s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
+        assert s.values[0] == pytest.approx(7.0)
+
     def test_additivity_over_disjoint_sets(self):
         rng = np.random.default_rng(11)
         chapters = sorted(FULL_FOOD.codes)

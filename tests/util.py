@@ -59,7 +59,8 @@ def reference_parse_records(path) -> np.recarray:
 def reference_series(records, category_set, months, cutoff=None):
     """The per-record aggregation loop that ``apply_vintage`` plus
     ``aggregate_series`` replaced: the monthly values in USD millions and the
-    number of duplicate period/reporter/partner/hs2 rows in the category."""
+    number of duplicate period/reporter/partner/hs2 rows in the category and
+    the span."""
     start, end = months
     grid = month_range(start, end)
     index = {m: i for i, m in enumerate(grid)}
@@ -74,14 +75,15 @@ def reference_series(records, category_set, months, cutoff=None):
         if f"{r.hs2:02d}" not in category_set.codes:
             continue
         period = r.period.item()
+        i = index.get(period)
+        if i is None:
+            continue
         key = (period, r.reporter, r.partner, r.hs2)
         if key in seen:
             duplicates += 1
         else:
             seen.add(key)
-        i = index.get(period)
-        if i is not None:
-            totals[i] += float(r.value_usd) / 1e6
+        totals[i] += float(r.value_usd) / 1e6
     return tuple(totals), duplicates
 
 
@@ -114,6 +116,18 @@ def reference_window_rows(series, spec):
         if v is not None:
             ts_.append(t)
             ys.append(v)
+    return ts_, ys
+
+
+def reference_series_points(series, spec):
+    """``rdd_local_poly._series_points`` on a series that meets the bandwidth sample."""
+    values = tuple_values(series)
+    ts_, ys = [], []
+    for month in month_range(*spec.bandwidth_sample):
+        i = month_diff(month, series.start_month)
+        if 0 <= i < len(values) and values[i] is not None:
+            ts_.append(month_diff(month, spec.cutoff_month))
+            ys.append(values[i])
     return ts_, ys
 
 
