@@ -8,14 +8,14 @@ cutoff that best explains a target series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import datetime
 
 import numpy as np
 
 from .errors import DataError
 from .series import MonthlySeries
 from .trade_ingest import CategorySet, VintagePolicy, aggregate_series, apply_vintage
-from .trend_break import TrendBreakFit, TrendBreakSpec, fit_trend_break
+from .trend_break import TrendBreakFit, TrendBreakSpec, _window_rows, fit_trend_break
 
 ONE_MINUS_CORRELATION = "one_minus_correlation"
 RMS_DIFFERENCE = "rms_difference"
@@ -38,18 +38,13 @@ class SeriesComparison:
     means_b: SegmentMeans
 
 
-def _overlap(a: MonthlySeries, b: MonthlySeries, origin: date):
-    """Months from ``origin`` at which both series have a value, and the two values."""
-    ta, xa = a.to_arrays(origin)
-    tb, xb = b.to_arrays(origin)
+def _paired(rows_a, rows_b):
+    """The months two ``(t, x)`` row sets share, if at least 3, their two
+    values and correlation: with a constant side, 1.0 if the other is a
+    shifted copy and NaN otherwise."""
+    (ta, xa), (tb, xb) = rows_a, rows_b
     t, ia, ib = np.intersect1d(ta, tb, assume_unique=True, return_indices=True)
-    return t, xa[ia], xb[ib]
-
-
-def _paired(a: MonthlySeries, b: MonthlySeries, origin: date):
-    """:func:`_overlap` of series that share at least 3 months, and its correlation:
-    with a constant side, 1.0 if the other is a shifted copy and NaN otherwise."""
-    t, xa, xb = _overlap(a, b, origin)
+    xa, xb = xa[ia], xb[ib]
     if len(t) < 3:
         raise DataError(f"insufficient overlap: {len(t)} common non-missing months, need >= 3")
     if np.std(xa) == 0.0 or np.std(xb) == 0.0:
@@ -73,14 +68,14 @@ def _means(values: np.ndarray, is_post: np.ndarray) -> SegmentMeans:
 def compare_series(
     a: MonthlySeries, b: MonthlySeries, spec: TrendBreakSpec
 ) -> SeriesComparison:
-    """Correlation, per-argument means and max deviation over the overlap.
+    """Correlation, per-argument means and max deviation over the fit window.
 
-    Statistics use months where both series are non-missing; the pre/post
-    split is the trend fit's, ``spec.indicator`` of the months from
-    ``spec.cutoff_month``. Correlation and maximum absolute difference are
-    symmetric in the arguments.
+    Statistics use the fit window's months present in both series, read and
+    split pre/post as the trend fit reads and splits them, so a series the
+    fit refuses raises its error. Correlation and maximum absolute
+    difference are symmetric in the arguments.
     """
-    t, xa, xb, correlation = _paired(a, b, spec.cutoff_month)
+    t, xa, xb, correlation = _paired(_window_rows(a, spec), _window_rows(b, spec))
     is_post = spec.indicator(t)
     return SeriesComparison(
         correlation=correlation,
@@ -98,7 +93,8 @@ class VintageSearchResult:
 
 
 def _distance(target: MonthlySeries, candidate: MonthlySeries, metric: str) -> float:
-    _, xa, xb, correlation = _paired(target, candidate, target.start_month)
+    origin = target.start_month
+    _, xa, xb, correlation = _paired(target.to_arrays(origin), candidate.to_arrays(origin))
     if metric == RMS_DIFFERENCE:
         return float(np.sqrt(np.mean((xa - xb) ** 2)))
     return 2.0 if np.isnan(correlation) else 1.0 - correlation

@@ -22,7 +22,7 @@ from breaklens.errors import ConfigError
 from breaklens.months import add_months, month_diff
 from breaklens.pipeline import RunConfig, export_figure_data, load_config, run_pipeline
 from breaklens.rdd_local_poly import RddSpec, rd_estimate
-from breaklens.series import read_series_csv
+from breaklens.series import read_series_csv, write_series_csv
 from breaklens.trade_ingest import (
     BUILTIN_CATEGORY_SETS,
     RECORD_COLUMNS,
@@ -205,6 +205,40 @@ class TestPipelineRun:
         audit = results["audit"][0]
         assert audit["correlation"] > 0.999
         assert audit["vintage_search"]["best"] == "2020-10-01T00:00:00Z"
+
+    def test_audit_of_a_target_longer_than_the_window_reads_the_window(self, fixtures_dir_module, tmp_path):
+        # the target is the audited cell over the aggregation span, 2012-01..2020-12:
+        # 108 months, of which the fits read the 57 from 2015-04
+        config = load_config(fixtures_dir_module / "demo_config.json")
+        kept = apply_vintage(
+            parse_records(fixtures_dir_module / config.data_file),
+            VintagePolicy(cutoff_instant=next(v.cutoff for v in config.vintages if v.label == "2020-10-01")),
+        )
+        target = aggregate_series(kept, BUILTIN_CATEGORY_SETS["anova_food"], (date(2012, 1, 1), date(2020, 12, 1)))
+        write_series_csv(target, tmp_path / "target.csv")
+        raw = config.to_dict()
+        raw["data_file"] = str(fixtures_dir_module / raw["data_file"])
+        raw["audits"][0]["target_file"] = "target.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, out_path = run_pipeline(RunConfig.from_dict(raw), tmp_path, out_dir=tmp_path / "out")
+        window = target.values[39:96]  # 2015-04..2019-12
+        means = {"overall": float(np.mean(window)), "pre": float(np.mean(window[:28]))}
+        means["post"] = float(np.mean(window[28:]))
+        audit = json.loads((out_path / "results.json").read_text(encoding="utf-8"))["audit"][0]
+        assert audit["n_overlap"] == 57
+        assert audit["means"] == {"extracted": means, "reconstructed": means}
+        with open(out_path / "audit.csv", newline="", encoding="utf-8") as fh:
+            rows = {row["statistic"]: row for row in csv.DictReader(fh)}
+        table = (out_path / "tables" / "audit_table.txt").read_text(encoding="utf-8").splitlines()
+        for statistic, label, key in [
+            ("average_level", "Average level", "overall"),
+            ("pre_cutoff_mean", "Pre-cutoff mean", "pre"),
+            ("post_cutoff_mean", "Post-cutoff mean", "post"),
+        ]:
+            assert rows[statistic]["extracted_value"] == rows[statistic]["reconstructed_value"] == repr(means[key])
+            [line] = [line for line in table if line.startswith(label)]
+            assert line.split()[-2:] == [f"{means[key]:.2f}"] * 2
 
     def test_one_estimand_renders_only_its_rows(self, fixtures_dir_module, tmp_path):
         raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())

@@ -41,6 +41,11 @@ def noisy_series(seed=0, transform="levels"):
     return MonthlySeries(WINDOW_START, values, SeriesMeta(transform=transform))
 
 
+def in_window(*values):
+    """A series over the fit window whose first months are ``values``, the rest missing."""
+    return MonthlySeries(WINDOW_START, (*values, *[None] * (57 - len(values))))
+
+
 class TestCompareSeries:
     def test_identity(self):
         s = noisy_series()
@@ -55,7 +60,7 @@ class TestCompareSeries:
         flipped = MonthlySeries(
             s.start_month, tuple(-v for v in s.values), s.meta
         )
-        cmp = compare_series(s, flipped, SPEC)
+        cmp = compare_series(s, flipped, TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
         assert cmp.correlation == pytest.approx(-1.0)
 
     def test_symmetry(self):
@@ -89,8 +94,8 @@ class TestCompareSeries:
         assert cmp.n_overlap == 55
 
     def test_insufficient_overlap_errors(self):
-        a = MonthlySeries(date(2015, 1, 1), (1.0, 2.0, 3.0, 4.0))
-        b = MonthlySeries(date(2015, 3, 1), (3.0, 4.0, 5.0, 6.0))
+        a = in_window(1.0, 2.0, 3.0, 4.0)
+        b = in_window(None, None, 3.0, 4.0, 5.0, 6.0)
         message = "^insufficient overlap: 2 common non-missing months, need >= 3$"
         with pytest.raises(DataError, match=message):
             compare_series(a, b, SPEC)
@@ -103,8 +108,7 @@ class TestCompareSeries:
         ids=["shifted-copy", "not-a-copy"],
     )
     def test_constant_side(self, other, correlation, distance):
-        a = MonthlySeries(date(2015, 1, 1), (2.0, 2.0, 2.0, 2.0))
-        b = MonthlySeries(date(2015, 1, 1), other)
+        a, b = in_window(2.0, 2.0, 2.0, 2.0), in_window(*other)
         got = compare_series(a, b, SPEC).correlation
         assert got == correlation or math.isnan(got) and math.isnan(correlation)
         assert _distance(a, b, ONE_MINUS_CORRELATION) == distance
@@ -202,6 +206,12 @@ class TestVintageSearch:
         with pytest.raises(ValueError):
             search_vintage_date(records, target, [ts(2020, 10, 1)], ANOVA_FOOD)
 
+    def test_unknown_metric(self):
+        records = self._planted_records()
+        target = aggregate_series(records, ANOVA_FOOD, (date(2017, 1, 1), date(2017, 12, 1)))
+        with pytest.raises(ValueError, match="^unknown distance metric: 'rank'$"):
+            search_vintage_date(records, target, [ts(2020, 10, 1), ts(2020, 11, 1)], ANOVA_FOOD, metric="rank")
+
 
 class TestSearchOverTheSetsRows:
     """The audit searches only the audited set's rows, every period kept: the
@@ -279,3 +289,20 @@ class TestCoefficientAudit:
         for series, means in ((a, audit.comparison.means_a), (b, audit.comparison.means_b)):
             assert means.pre == float(np.mean(series.values[:29]))
             assert means.post == float(np.mean(series.values[29:]))
+
+    def test_comparison_reads_the_fits_window(self):
+        # 80 months from 2014-01: 15 before the window, its 57, then 8 after
+        rng = np.random.default_rng(11)
+        values = 100 + 5 * rng.standard_normal(80)
+        a = MonthlySeries(date(2014, 1, 1), values)
+        b = MonthlySeries(date(2014, 1, 1), values + rng.standard_normal(80))
+        audit = coefficient_audit(a, b, SPEC)
+        comparison = audit.comparison
+        assert (audit.fit_a.n_pre, audit.fit_a.n_post) == (28, 29)
+        assert comparison.n_overlap == audit.fit_a.n == 57
+        for series, means in ((a, comparison.means_a), (b, comparison.means_b)):
+            assert means.overall == float(np.mean(series.values[15:72]))
+            assert means.pre == float(np.mean(series.values[15:43]))
+            assert means.post == float(np.mean(series.values[43:72]))
+        assert comparison.max_abs_diff == float(np.max(np.abs(a.values[15:72] - b.values[15:72])))
+        assert comparison.correlation == float(np.corrcoef(a.values[15:72], b.values[15:72])[0, 1])

@@ -19,7 +19,7 @@ from breaklens.months import (
     parse_timestamp,
 )
 from breaklens.rdd_local_poly import RddSpec, _series_points
-from breaklens.replication_audit import _overlap
+from breaklens.replication_audit import _paired
 from breaklens.series import MonthlySeries, SeriesMeta, read_series_csv, write_series_csv
 from breaklens.trend_break import TrendBreakSpec, _window_rows, log_transform
 from util import (
@@ -104,6 +104,18 @@ class TestMonthlySeries:
     def test_levels_must_be_nonnegative(self):
         with pytest.raises(DataError, match="negative level"):
             MonthlySeries(date(2019, 1, 1), (1.0, -0.1))
+
+    @pytest.mark.parametrize(
+        "values, meta, message",
+        [
+            ((), SeriesMeta(), "^a monthly series needs at least one month$"),
+            ((1.0,), SeriesMeta(transform="sqrt"), "^unknown transform tag: 'sqrt'$"),
+        ],
+        ids=["no-month", "unknown-transform"],
+    )
+    def test_series_needs_a_month_and_a_known_tag(self, values, meta, message):
+        with pytest.raises(DataError, match=message):
+            MonthlySeries(date(2019, 1, 1), values, meta)
 
     def test_log_series_may_be_negative(self):
         s = MonthlySeries(date(2019, 1, 1), (-1.0, 0.5), SeriesMeta(transform="log"))
@@ -220,8 +232,12 @@ class TestArrayFormMatchesReference:
     @SETTINGS
     @given(a=monthly_series(), b=monthly_series(), origin=MONTHS)
     def test_overlap(self, a, b, origin):
-        t, xa, xb = _overlap(a, b, origin)
         months, want_a, want_b = reference_overlap(a, b)
+        if len(months) < 3:
+            with pytest.raises(DataError, match=f"^insufficient overlap: {len(months)} common"):
+                _paired(a.to_arrays(origin), b.to_arrays(origin))
+            return
+        t, xa, xb, _ = _paired(a.to_arrays(origin), b.to_arrays(origin))
         assert t.tolist() == [month_diff(m, origin) for m in months]
         assert hexes(xa) == hexes(want_a)
         assert hexes(xb) == hexes(want_b)

@@ -240,6 +240,10 @@ class TestAggregate:
         s = aggregate_series(records, ANOVA_FOOD, self.SPAN)
         assert s.values[0] == pytest.approx(7.0)
 
+    def test_span_ending_before_it_starts(self):
+        with pytest.raises(ValueError, match="^empty month range: 2017-03-01..2017-01-01$"):
+            aggregate_series(records_of(record()), ANOVA_FOOD, self.SPAN[::-1])
+
     def test_empty_month_is_zero(self):
         s = aggregate_series(records_of(record()), ANOVA_FOOD, self.SPAN)
         assert s.values[2] == 0.0

@@ -125,6 +125,17 @@ class TestFit:
         with pytest.raises(EstimationError):
             fit_trend_break(s, SPEC)
 
+    def test_collinear_design_is_rank_deficient(self):
+        t = np.arange(10.0)
+        X = np.column_stack([np.ones_like(t), t, 2.0 * t])
+        with pytest.raises(EstimationError, match="^rank-deficient design matrix$"):
+            fit_ols(X, t * t)
+
+    def test_unknown_se_type(self):
+        t = np.arange(10.0)
+        with pytest.raises(ValueError, match="^unknown se_type: 'robust'$"):
+            fit_ols(np.column_stack([np.ones_like(t), t]), t * t, "robust")
+
     def test_insufficient_observations(self):
         values = [None] * 57
         values[0] = 10.0
@@ -276,6 +287,11 @@ class TestCounterfactual:
             assert cf == path.values[t]
             assert fit.gap(t) == pytest.approx(fitted_post - cf, abs=1e-9)
 
+    def test_negative_horizon_rejected(self):
+        fit = fit_trend_break(series_from_fn(piecewise(10, -0.5, 12, 0.2)), SPEC)
+        with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+            counterfactual_projection(fit, -1)
+
     def test_log_path_rejects_feasibility(self):
         s = series_from_fn(lambda t: 30.0 * math.exp(-0.02 * t))
         fit = fit_trend_break(log_transform(s), TrendBreakSpec(cutoff_month=CUTOFF, transform="log"))
@@ -302,6 +318,11 @@ class TestSegmentTrend:
         coef, se = oracle_ols(X, ys)
         assert pre.slope == pytest.approx(coef[1], abs=1e-10)
         assert pre.se == pytest.approx(se[1], abs=1e-10)
+
+    def test_unknown_side(self):
+        s = series_from_fn(piecewise(10, -0.5, 12, 0.2))
+        with pytest.raises(ValueError, match="^side must be 'pre' or 'post', got 'both'$"):
+            segment_trend(s, SPEC, "both")
 
     def test_insufficient_side(self):
         values = list(series_from_fn(piecewise(10, -0.5, 12, 0.2)).values)

@@ -132,8 +132,8 @@ def reference_series_points(series, spec):
 
 
 def reference_overlap(a, b):
-    """``replication_audit._overlap``: the months where both series have a
-    value, and the two values."""
+    """``replication_audit._paired`` of two series' rows: the months where
+    both series have a value, and the two values."""
     va, vb = tuple_values(a), tuple_values(b)
     start = max(a.start_month, b.start_month)
     end = min(a.end_month, b.end_month)
