@@ -3,11 +3,9 @@
 from .errors import BreaklensError, ConfigError, DataError, EstimationError, RecordParseError
 from .rdd_local_poly import RddFit, RddSpec, rd_estimate
 from .replication_audit import (
-    CoefficientAudit,
     SeriesComparison,
     VintageSearchResult,
     compare_series,
-    coefficient_audit,
     search_vintage_date,
 )
 from .series import MonthlySeries, SeriesMeta, read_series_csv, write_series_csv
@@ -44,7 +42,6 @@ __all__ = [
     "BUILTIN_CATEGORY_SETS",
     "BreaklensError",
     "CategorySet",
-    "CoefficientAudit",
     "ConfigError",
     "CounterfactualPath",
     "DataError",
@@ -66,7 +63,6 @@ __all__ = [
     "annualize_log_slope",
     "apply_vintage",
     "category_share",
-    "coefficient_audit",
     "compare_series",
     "counterfactual_projection",
     "export_figure_data",

@@ -54,11 +54,12 @@ class DataError(BreaklensError):
 
 @contextmanager
 def open_csv(path, line):
-    """``path`` open as UTF-8 text for a CSV reader. A CSV syntax error or a
-    byte that is not UTF-8 becomes a DataError naming the line: ``line()``,
-    the line the reader has reached, or the first undecodable one."""
+    """``path`` open as UTF-8 text for a CSV reader, past a leading byte-order
+    mark if it has one. A CSV syntax error or a byte that is not UTF-8
+    becomes a DataError naming the line: ``line()``, the line the reader has
+    reached, or the first undecodable one."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield fh
     except csv.Error as e:
         raise DataError(f"{path}: line {line()}: {e}") from e

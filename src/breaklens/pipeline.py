@@ -30,9 +30,9 @@ from .months import (
     parse_timestamp,
 )
 from .rdd_local_poly import MSE_OPTIMAL, RddSpec, rd_estimate, require_monthly_support
-from .replication_audit import DISTANCE_METRICS, coefficient_audit, search_vintage_date
+from .replication_audit import DISTANCE_METRICS, compare_series, search_vintage_date
 from .series import LEVELS, LOG, TRANSFORMS, MonthlySeries, SeriesMeta, read_series_csv
-from .tables import AUDIT_SIDES, audit_rows, render_tables
+from .tables import AUDIT_SIDES, TABLES, audit_rows, render_tables
 from .trade_ingest import (
     BUILTIN_CATEGORY_SETS,
     CategorySet,
@@ -473,12 +473,13 @@ def _aggregation_span(config: RunConfig) -> tuple[date, date]:
 
 def _audit(config: RunConfig, targets, records, categories, series_map) -> list[dict]:
     results = []
+    spec = config.trend_spec(LEVELS)
     for audit in config.audits:
         with _stage("audit", audit.label):
-            target = targets[audit.label]
+            target, target_fit = targets[audit.label]
             reconstructed = series_map[(audit.series, audit.vintage)]
-            paired = coefficient_audit(target, reconstructed, config.trend_spec(LEVELS))
-            comparison = paired.comparison
+            fit = fit_trend_break(reconstructed, spec)
+            comparison = compare_series(target, reconstructed, spec)
             record = {
                 "label": audit.label,
                 "series": audit.series,
@@ -488,8 +489,8 @@ def _audit(config: RunConfig, targets, records, categories, series_map) -> list[
                 "n_overlap": comparison.n_overlap,
                 "means": {"extracted": asdict(comparison.means_a), "reconstructed": asdict(comparison.means_b)},
                 "coefficients": {
-                    "extracted": _audit_coef(paired.fit_a),
-                    "reconstructed": _audit_coef(paired.fit_b),
+                    "extracted": _audit_coef(target_fit),
+                    "reconstructed": _audit_coef(fit),
                 },
                 "vintage_search": None,
             }
@@ -541,7 +542,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
             if fitted:
                 (out_path / "tables").mkdir(exist_ok=True)
                 (out_path / "figures").mkdir(exist_ok=True)
-                names += ["results.json", *(f"tables/{name}_table.txt" for name in ("trend", "rdd", "audit"))]
+                names += ["results.json", *(f"tables/{name}.txt" for name in TABLES)]
                 names += [f"figures/{_figure_file(f'{s.label}/{tr}/{v.label}')}"
                           for s in fitted for v in config.vintages for tr in config.transforms]
             for path in filter(Path.exists, (out_path / name for name in names)):
@@ -552,8 +553,7 @@ def run_pipeline(config: RunConfig, base_dir, out_dir=None, *, audit_only=False)
     for audit in config.audits:
         with _stage("audit", audit.label):
             target = read_series_csv(base_dir / audit.target_file, SeriesMeta(transform=LEVELS, label=audit.label))
-            fit_trend_break(target, config.trend_spec(LEVELS))
-        targets[audit.label] = target
+            targets[audit.label] = (target, fit_trend_break(target, config.trend_spec(LEVELS)))
 
     cells = {(a.series, a.vintage) for a in config.audits}
     cells |= {(s.label, v.label) for s in fitted for v in config.vintages}

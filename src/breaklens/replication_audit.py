@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DataError
 from .series import MonthlySeries
 from .trade_ingest import CategorySet, VintagePolicy, aggregate_series, apply_vintage
-from .trend_break import TrendBreakFit, TrendBreakSpec, _window_rows, fit_trend_break
+from .trend_break import TrendBreakSpec, _window_rows
 
 ONE_MINUS_CORRELATION = "one_minus_correlation"
 RMS_DIFFERENCE = "rms_difference"
@@ -126,23 +126,3 @@ def search_vintage_date(
         scored.append((policy.cutoff_instant, _distance(target, reconstructed, metric)))
     best = min(scored, key=lambda pair: (pair[1], pair[0]))[0]
     return VintageSearchResult(candidates=tuple(scored), best=best)
-
-
-@dataclass(frozen=True)
-class CoefficientAudit:
-    """Paired interrupted-trend results for two versions of one series."""
-
-    fit_a: TrendBreakFit
-    fit_b: TrendBreakFit
-    comparison: SeriesComparison
-
-
-def coefficient_audit(
-    a: MonthlySeries, b: MonthlySeries, spec: TrendBreakSpec
-) -> CoefficientAudit:
-    """Fit the trend-break model on both series and pair the results."""
-    return CoefficientAudit(
-        fit_a=fit_trend_break(a, spec),
-        fit_b=fit_trend_break(b, spec),
-        comparison=compare_series(a, b, spec),
-    )

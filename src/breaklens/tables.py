@@ -131,14 +131,19 @@ def render_audit_table(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The names of the tables ``render_tables`` may return, each a file under tables/.
+TABLES = ("trend_table", "rdd_table", "audit_table")
+
+
 def render_tables(results: dict) -> dict[str, str]:
     """Render every table the results bundle supports, keyed by name."""
     layout = results["layout"]
     series_order = layout["series"]
     panels = [tuple(p) for p in layout["panels"]]
-    tables = {"trend_table": render_trend_table(results["trend_break"], series_order, panels)}
+    trend, rdd, audit = TABLES
+    tables = {trend: render_trend_table(results["trend_break"], series_order, panels)}
     if results["rdd"]:
-        tables["rdd_table"] = render_rdd_table(results["rdd"], series_order)
+        tables[rdd] = render_rdd_table(results["rdd"], series_order)
     if results["audit"]:
-        tables["audit_table"] = render_audit_table(results["audit"])
+        tables[audit] = render_audit_table(results["audit"])
     return tables

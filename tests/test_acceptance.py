@@ -21,7 +21,7 @@ import scipy.linalg
 
 from breaklens import pipeline
 from breaklens.rdd_local_poly import RddSpec, rd_estimate, rd_estimate_xy
-from breaklens.replication_audit import coefficient_audit, search_vintage_date
+from breaklens.replication_audit import compare_series, search_vintage_date
 from breaklens.series import MonthlySeries, read_series_csv
 from breaklens.trade_ingest import (
     ANOVA_FOOD,
@@ -385,9 +385,9 @@ def test_criterion_10_audit_reproduction(replication_records):
     for filename, category, extracted_cells, reconstructed_cells in pairs:
         target = read_series_csv(REPLICATION_DIR / filename)
         reconstructed = _vintage_series(replication_records, category, OCT_2020)
-        audit = coefficient_audit(target, reconstructed, SPEC)
-        assert audit.comparison.correlation >= 0.999, filename
-        for fit, cells in ((audit.fit_a, extracted_cells), (audit.fit_b, reconstructed_cells)):
+        assert compare_series(target, reconstructed, SPEC).correlation >= 0.999, filename
+        fits = (fit_trend_break(target, SPEC), fit_trend_break(reconstructed, SPEC))
+        for fit, cells in zip(fits, (extracted_cells, reconstructed_cells)):
             assert fit.alpha1 == pytest.approx(cells[0], abs=0.01), filename
             assert fit.se[1] == pytest.approx(cells[1], abs=0.01), filename
             assert fit.alpha3 == pytest.approx(cells[2], abs=0.01), filename

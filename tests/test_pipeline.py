@@ -17,6 +17,7 @@ import pytest
 
 import breaklens.cli as cli
 import breaklens.pipeline as pipeline
+import breaklens.trend_break as trend_break
 from breaklens.cli import main
 from breaklens.errors import ConfigError
 from breaklens.months import add_months, month_diff
@@ -239,6 +240,37 @@ class TestPipelineRun:
             assert rows[statistic]["extracted_value"] == rows[statistic]["reconstructed_value"] == repr(means[key])
             [line] = [line for line in table if line.startswith(label)]
             assert line.split()[-2:] == [f"{means[key]:.2f}"] * 2
+
+    @pytest.mark.parametrize("audit_only, fits", [(False, 14), (True, 2)])
+    def test_each_target_is_fitted_once(self, audit_only, fits, fixtures_dir_module, tmp_path, monkeypatch):
+        # run fits the 12 cells, the target and the audited cell, audit the
+        # target and the audited cell; every trend fit goes through fit_ols
+        fit_ols = mock.Mock(wraps=trend_break.fit_ols)
+        monkeypatch.setattr(trend_break, "fit_ols", fit_ols)
+        config = load_config(fixtures_dir_module / "demo_config.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_pipeline(config, fixtures_dir_module, out_dir=tmp_path / "out", audit_only=audit_only)
+        assert fit_ols.call_count == fits
+
+    def test_audit_of_a_log_only_run_fits_the_levels_reconstruction(self, fixtures_dir_module, tmp_path):
+        raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())
+        raw.update(transforms=["log"], panels=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results, _ = run_pipeline(RunConfig.from_dict(raw), fixtures_dir_module, out_dir=tmp_path / "out")
+        kept = apply_vintage(parse_records(fixtures_dir_module / raw["data_file"]), VintagePolicy(ts(2020, 10, 1)))
+        base = aggregate_series(kept, BUILTIN_CATEGORY_SETS["anova_food"], (date(2012, 1, 1), date(2020, 12, 1)))
+        fit = fit_trend_break(base, TrendBreakSpec(cutoff_month=date(2017, 8, 1)))
+        assert {r["transform"] for r in results["trend_break"]} == {"log"}
+        assert results["audit"][0]["coefficients"]["reconstructed"] == {
+            "alpha1": fit.alpha1,
+            "alpha1_se": fit.se[1],
+            "alpha1_p": fit.p_values[1],
+            "alpha3": fit.alpha3,
+            "alpha3_se": fit.se[3],
+            "alpha3_p": fit.p_values[3],
+        }
 
     def test_one_estimand_renders_only_its_rows(self, fixtures_dir_module, tmp_path):
         raw = json.loads((fixtures_dir_module / "demo_config.json").read_text())

@@ -13,12 +13,11 @@ from breaklens.replication_audit import (
     ONE_MINUS_CORRELATION,
     _distance,
     compare_series,
-    coefficient_audit,
     search_vintage_date,
 )
 from breaklens.series import MonthlySeries, SeriesMeta
 from breaklens.trade_ingest import ANOVA_FOOD, CategorySet, aggregate_series, record_array
-from breaklens.trend_break import TrendBreakSpec
+from breaklens.trend_break import TrendBreakSpec, fit_trend_break
 from util import (
     CUTOFF,
     WINDOW_START,
@@ -260,23 +259,28 @@ class TestSearchOverTheSetsRows:
         assert searches[0] == searches[1]
 
 
+def paired(a, b, spec=SPEC):
+    """The audit's two trend fits and its comparison of ``a`` and ``b``."""
+    return fit_trend_break(a, spec), fit_trend_break(b, spec), compare_series(a, b, spec)
+
+
 class TestCoefficientAudit:
     def test_same_series_identical_rows(self):
         s = noisy_series(7)
-        audit = coefficient_audit(s, s, SPEC)
-        assert audit.fit_a.coefficients == audit.fit_b.coefficients
-        assert audit.fit_a.se == audit.fit_b.se
-        assert audit.comparison.correlation == pytest.approx(1.0)
+        fit_a, fit_b, comparison = paired(s, s)
+        assert fit_a.coefficients == fit_b.coefficients
+        assert fit_a.se == fit_b.se
+        assert comparison.correlation == pytest.approx(1.0)
 
     def test_constant_shift_moves_only_intercept(self):
         a = noisy_series(8)
         b = MonthlySeries(a.start_month, tuple(v + 25.0 for v in a.values), a.meta)
-        audit = coefficient_audit(a, b, SPEC)
-        assert audit.fit_b.alpha0 == pytest.approx(audit.fit_a.alpha0 + 25.0, abs=1e-8)
-        assert audit.fit_b.alpha1 == pytest.approx(audit.fit_a.alpha1, abs=1e-8)
-        assert audit.fit_b.alpha2 == pytest.approx(audit.fit_a.alpha2, abs=1e-8)
-        assert audit.fit_b.alpha3 == pytest.approx(audit.fit_a.alpha3, abs=1e-8)
-        means_a, means_b = audit.comparison.means_a, audit.comparison.means_b
+        fit_a, fit_b, comparison = paired(a, b)
+        assert fit_b.alpha0 == pytest.approx(fit_a.alpha0 + 25.0, abs=1e-8)
+        assert fit_b.alpha1 == pytest.approx(fit_a.alpha1, abs=1e-8)
+        assert fit_b.alpha2 == pytest.approx(fit_a.alpha2, abs=1e-8)
+        assert fit_b.alpha3 == pytest.approx(fit_a.alpha3, abs=1e-8)
+        means_a, means_b = comparison.means_a, comparison.means_b
         assert means_b.overall == pytest.approx(means_a.overall + 25.0)
 
     def test_means_split_the_window_as_the_fits_do(self):
@@ -284,9 +288,9 @@ class TestCoefficientAudit:
         # segment, the fits and the means both read 29 pre and 28 post months
         a, b = noisy_series(9), noisy_series(10)
         spec = TrendBreakSpec(cutoff_month=CUTOFF, treat_cutoff_as_post=False)
-        audit = coefficient_audit(a, b, spec)
-        assert (audit.fit_a.n_pre, audit.fit_a.n_post) == (29, 28)
-        for series, means in ((a, audit.comparison.means_a), (b, audit.comparison.means_b)):
+        fit_a, _, comparison = paired(a, b, spec)
+        assert (fit_a.n_pre, fit_a.n_post) == (29, 28)
+        for series, means in ((a, comparison.means_a), (b, comparison.means_b)):
             assert means.pre == float(np.mean(series.values[:29]))
             assert means.post == float(np.mean(series.values[29:]))
 
@@ -296,10 +300,9 @@ class TestCoefficientAudit:
         values = 100 + 5 * rng.standard_normal(80)
         a = MonthlySeries(date(2014, 1, 1), values)
         b = MonthlySeries(date(2014, 1, 1), values + rng.standard_normal(80))
-        audit = coefficient_audit(a, b, SPEC)
-        comparison = audit.comparison
-        assert (audit.fit_a.n_pre, audit.fit_a.n_post) == (28, 29)
-        assert comparison.n_overlap == audit.fit_a.n == 57
+        fit_a, _, comparison = paired(a, b)
+        assert (fit_a.n_pre, fit_a.n_post) == (28, 29)
+        assert comparison.n_overlap == fit_a.n == 57
         for series, means in ((a, comparison.means_a), (b, comparison.means_b)):
             assert means.overall == float(np.mean(series.values[15:72]))
             assert means.pre == float(np.mean(series.values[15:43]))

@@ -142,6 +142,27 @@ class TestParseRecords:
         with pytest.raises(DataError, match="missing columns"):
             parse_records(path)
 
+    def test_a_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        plain = FIXTURES / "demo_records.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_records(marked).tobytes() == parse_records(plain).tobytes()
+        assert reference_rows(marked) == reference_rows(plain)
+
+    def test_a_byte_order_mark_leaves_a_row_error_where_it_was(self, tmp_path):
+        body = (
+            "201504,VEN,DEU,02,100,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z\n"
+            "201504,VEN,USA,02,-5,2015-08-03T00:00:00Z,2015-08-03T00:00:00Z\n"
+        )
+        errors = []
+        for name, mark in (("plain.csv", b""), ("marked.csv", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(mark + (HEADER + body).encode("utf-8"))
+            with pytest.raises(RecordParseError) as err:
+                parse_records(path)
+            errors.append((err.value.row, err.value.field))
+        assert errors == [(2, "value_usd")] * 2
+
 
 @pytest.fixture
 def caracas_host(monkeypatch):

@@ -46,8 +46,8 @@ def records_of(*rows) -> np.recarray:
 def reference_rows(path, first_row=1) -> list[tuple]:
     """``_parse_row`` on every row ``csv.DictReader`` reads from ``path``,
     numbered from ``first_row``: the row-wise parse that ``parse_records``
-    keeps as its slow path."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    keeps as its slow path (a leading byte-order mark skipped, as there)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return [_parse_row(n, row) for n, row in enumerate(csv.DictReader(fh), start=first_row)]
 
 
